@@ -1,7 +1,8 @@
 """Columnar multi-probe engine: lock-step cohorts of probe sessions.
 
-The fourth engine tier. PR 2 batched a round's ACKs into closed forms, PR 3
-removed per-packet objects from the probe pipeline; both still step one probe
+The third engine tier, above the scalar reference and the segment-block
+engine. The block engine batches a round's ACKs into closed forms and keeps
+per-packet objects out of the probe pipeline, but it still steps one probe
 state machine at a time, so a census is a Python loop over tens of thousands
 of sessions. This engine runs a *cohort* of sessions in lock-step: each
 engine step advances every session by one ACK-ladder round, with the round's
@@ -9,7 +10,7 @@ arithmetic — RTT estimation, slow-start growth, congestion-avoidance kernels,
 window estimates, transmission caps, RTO arming — executed once per *cohort*
 on numpy columns instead of once per session.
 
-Bit-exactness contract (same as PRs 2–3, lifted one level): with the engine
+Bit-exactness contract (the block engine's, lifted one level): with the engine
 on, every :class:`~repro.core.trace.ProbeTrace` is bit-identical to the
 segment-block scalar engine's, including the order and count of consumed rng
 draws. The engine owns only the *clean* path — rounds in which every data
@@ -265,14 +266,13 @@ def sender_admissible(sender: TcpSender) -> bool:
     Mirrors (and tightens) ``TcpSender._run_eligible``: the kernels replicate
     the trusted decoupled batch hooks over the standard slow start, so
     anything outside that envelope — overridden slow start, untrusted or
-    coupled batch hooks, window quirks, non-default estimator constants, the
-    legacy per-segment emitter — is rejected up front and the trace runs on
-    the scalar engine instead.
+    coupled batch hooks, window quirks, non-default estimator constants, a
+    scalar reference sender (``REPRO_ACK_BATCH=0``) — is rejected up front
+    and the trace runs on the scalar engine instead.
     """
     config = sender.config
     estimator = sender.rto
     return (sender._blocks_native
-            and sender._batch_enabled
             and sender._batch_decoupled
             and sender._alg_uses_policy_ss
             and type(sender.slow_start_policy) is StandardSlowStart

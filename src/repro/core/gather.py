@@ -219,9 +219,10 @@ class TraceGatherer:
         """Dispatch to the block or per-segment pipeline (bit-identical).
 
         Senders natively emitting :class:`SegmentBlock` records (the default;
-        ``REPRO_SEGMENT_BLOCKS=0`` forces the historic per-packet emitter) are
-        driven without materialising a single :class:`Segment` object: window
-        estimation, loss draws and the ACK ladder all run on block arithmetic.
+        ``REPRO_ACK_BATCH=0`` selects the scalar reference, whose senders
+        emit per-packet :class:`Segment` objects) are driven without
+        materialising a single :class:`Segment` object: window estimation,
+        loss draws and the ACK ladder all run on block arithmetic.
         """
         if getattr(sender, "emits_blocks", False):
             return self._run_probe_blocks(sender, server, environment,
@@ -377,11 +378,10 @@ class TraceGatherer:
                      now: float, highest_end: int) -> tuple[list[Segment], int]:
         """Send one cumulative ACK per received data packet, subject to ACK loss.
 
-        The round's ACK ladder is built up front and handed to the sender's
-        batched run API (:meth:`~repro.tcp.connection.TcpSender.on_ack_run`);
-        the sender falls back to the per-ACK engine on any non-clean run
-        (retransmissions, gaps from lost ACKs), so traces are bit-identical
-        to the historic one-``on_ack``-per-packet loop either way.
+        The round's ACK ladder is built up front and handed to
+        :meth:`~repro.tcp.connection.TcpSender.on_ack_run`, which feeds it
+        to the per-ACK engine one value at a time: this is the scalar
+        reference the block pipeline is compared against.
         """
         if not received:
             return [], 0

@@ -1,8 +1,9 @@
 """Centralised, validated parsing of the ``REPRO_*`` environment knobs.
 
-Every engine tier ships an escape hatch as an environment variable
-(``REPRO_ACK_BATCH``, ``REPRO_SEGMENT_BLOCKS``, ``REPRO_COLUMNAR``,
-``REPRO_COLUMNAR_COHORT``). Historically each module parsed
+The three probe-engine tiers are selected by environment variables:
+``REPRO_ACK_BATCH=0`` switches to the scalar reference, ``REPRO_COLUMNAR=0``
+turns the columnar tier off, and ``REPRO_COLUMNAR_COHORT`` sizes its
+cohorts. Historically each module parsed
 its own variable with slightly different rules — ``REPRO_COLUMNAR=false``
 left the engine *on* while ``REPRO_ACK_BATCH=false`` turned it off, and a
 typo like ``REPRO_COLUMNAR_COHORT=garbage`` silently fell back to the

@@ -9,16 +9,18 @@ faults (``probe_timeout``, ``connection_reset``, ``ack_blackhole``,
 ``server_restart``) at the configured round by raising
 :class:`~repro.faults.plan.FaultInjected`.
 
-Both wrappers delegate everything they do not intercept, so a wrapped
-server behaves byte-identically until the instant a fault fires. They are
-also deliberately *not* instances of the concrete server classes: the
-columnar engine's admissibility check
-(:func:`repro.core.columnar.server_admissible`) rejects them, routing
-faulted servers onto the scalar probe path where injection is exact.
+Both wrappers delegate everything they do not intercept (through the
+:mod:`repro.core.delegating` bases), so a wrapped server behaves
+byte-identically until the instant a fault fires. They are also deliberately
+*not* instances of the concrete server classes: the columnar engine's
+admissibility check (:func:`repro.core.columnar.server_admissible`) rejects
+them, routing faulted servers onto the scalar probe path where injection is
+exact.
 """
 
 from __future__ import annotations
 
+from repro.core.delegating import DelegatingSender, DelegatingServer
 from repro.faults.plan import FaultInjected, FaultSpec
 
 #: Fraction of the requested transfer that survives a ``truncated_response``
@@ -26,7 +28,7 @@ from repro.faults.plan import FaultInjected, FaultSpec
 DEFAULT_TRUNCATION_FRACTION = 0.05
 
 
-class FaultySender:
+class FaultySender(DelegatingSender):
     """A :class:`~repro.tcp.connection.TcpSender` proxy firing mid-trace faults.
 
     Counts probe rounds (one per ACK-batch call from the trace gatherer) and
@@ -35,6 +37,8 @@ class FaultySender:
     wrapped sender's behaviour — and rng consumption — is unchanged up to
     the firing round.
     """
+
+    _OWN = ("_specs", "_owner", "_round")
 
     def __init__(self, sender, specs: list[FaultSpec], owner: "FaultyServer"):
         """Wrap ``sender`` with the mid-trace faults of ``specs``.
@@ -46,16 +50,16 @@ class FaultySender:
                 (receives event records; its inner server is restarted by
                 ``server_restart`` faults).
         """
-        object.__setattr__(self, "_sender", sender)
-        object.__setattr__(self, "_specs", list(specs))
-        object.__setattr__(self, "_owner", owner)
-        object.__setattr__(self, "_round", 0)
+        super().__init__(sender)
+        self._specs = list(specs)
+        self._owner = owner
+        self._round = 0
 
     # ------------------------------------------------------- fault machinery
     def _advance_round(self) -> None:
         """Count one probe round; fire any fault scheduled for it."""
         current = self._round
-        object.__setattr__(self, "_round", current + 1)
+        self._round = current + 1
         for spec in self._specs:
             if spec.at_round != current:
                 continue
@@ -78,7 +82,7 @@ class FaultySender:
             The sender's emitted segments for the next round.
         """
         self._advance_round()
-        return self._sender.on_ack_run(ladder, now)
+        return self._inner.on_ack_run(ladder, now)
 
     def on_ack_ladder(self, runs, now):
         """One round of compressed ACK runs (block path).
@@ -91,42 +95,21 @@ class FaultySender:
             The sender's emitted blocks for the next round.
         """
         self._advance_round()
-        return self._sender.on_ack_ladder(runs, now)
-
-    # --------------------------------------------------- transparent proxying
-    def __getattr__(self, name):
-        """Delegate every non-intercepted attribute to the real sender.
-
-        Args:
-            name: Attribute name.
-
-        Returns:
-            The wrapped sender's attribute.
-        """
-        return getattr(self._sender, name)
-
-    def __setattr__(self, name, value):
-        """Forward attribute writes to the real sender.
-
-        Args:
-            name: Attribute name.
-            value: Value to set.
-        """
-        setattr(self._sender, name, value)
+        return self._inner.on_ack_ladder(runs, now)
 
 
-class FaultyServer:
+class FaultyServer(DelegatingServer):
     """A :class:`~repro.core.gather.ProbeableServer` proxy injecting faults.
 
     Wraps the real server for one probe attempt, applying the attempt's
     active specs: connection-time faults fire in :meth:`open_connection`,
     mid-trace faults ride along on the returned :class:`FaultySender`.
     Fired faults are appended to :attr:`events` for the census's outcome
-    accounting.
+    accounting. MSS negotiation and the F-RTO flag are never faulted: they
+    happen before any injected failure mode.
     """
 
-    #: Attributes owned by the wrapper itself (everything else delegates).
-    _OWN = ("_server", "_specs", "events")
+    _OWN = ("_specs", "events")
 
     def __init__(self, server, specs: list[FaultSpec]):
         """Wrap ``server`` with the faults active on this attempt.
@@ -136,9 +119,9 @@ class FaultyServer:
             specs: The probe-layer specs firing on this attempt (from
                 :meth:`~repro.faults.plan.FaultPlan.probe_faults`).
         """
-        object.__setattr__(self, "_server", server)
-        object.__setattr__(self, "_specs", list(specs))
-        object.__setattr__(self, "events", [])
+        super().__init__(server)
+        self._specs = list(specs)
+        self.events = []
 
     # -------------------------------------------------------------- recording
     def record_event(self, kind: str, **detail) -> None:
@@ -152,30 +135,9 @@ class FaultyServer:
 
     def restart_inner(self) -> None:
         """Bounce the wrapped server (used by ``server_restart`` faults)."""
-        restart = getattr(self._server, "restart", None)
+        restart = getattr(self._inner, "restart", None)
         if restart is not None:
             restart()
-
-    # ------------------------------------------------ ProbeableServer protocol
-    def accepts_mss(self, mss: int) -> bool:
-        """Whether the wrapped server accepts a connection with this MSS.
-
-        Args:
-            mss: The proposed maximum segment size.
-
-        Returns:
-            The wrapped server's verdict (never faulted — MSS negotiation
-            happens before any injected failure mode).
-        """
-        return self._server.accepts_mss(mss)
-
-    def uses_frto(self) -> bool:
-        """Whether the wrapped server runs F-RTO.
-
-        Returns:
-            The wrapped server's F-RTO flag.
-        """
-        return self._server.uses_frto()
 
     def open_connection(self, mss: int, now: float, requested_bytes: int):
         """Open a connection, subject to the attempt's connection-time faults.
@@ -210,32 +172,7 @@ class FaultyServer:
         if truncation is not None:
             self.record_event("truncated_response", fraction=truncation)
             requested_bytes = max(1, int(requested_bytes * truncation))
-        sender = self._server.open_connection(mss, now, requested_bytes)
+        sender = self._inner.open_connection(mss, now, requested_bytes)
         if sender is None or not trace_specs:
             return sender
         return FaultySender(sender, trace_specs, self)
-
-    # --------------------------------------------------- transparent proxying
-    def __getattr__(self, name):
-        """Delegate every other attribute to the wrapped server.
-
-        Args:
-            name: Attribute name.
-
-        Returns:
-            The wrapped server's attribute (e.g. ``site``, ``profile``,
-            ``probe_path``).
-        """
-        return getattr(self._server, name)
-
-    def __setattr__(self, name, value):
-        """Forward writes to the wrapped server (except wrapper-owned state).
-
-        Args:
-            name: Attribute name.
-            value: Value to set.
-        """
-        if name in self._OWN:
-            object.__setattr__(self, name, value)
-        else:
-            setattr(self._server, name, value)

@@ -3,8 +3,8 @@
 Real paths put more than netem between CAAI and a server: NATs and
 accelerators thin or stretch ACK streams, policers rate-limit them, and
 cross-traffic bursts swallow them in clumps. These models intercept the
-probe's ACK ladder inside a protocol-transparent sender wrapper (the
-:class:`~repro.faults.wrappers.FaultySender` mold): everything not
+probe's ACK ladder inside a protocol-transparent sender wrapper (a
+:class:`~repro.core.delegating.DelegatingSender`): everything not
 intercepted delegates to the real sender, and — crucially — every
 degradation here is **deterministic**, consuming zero draws from the probe's
 rng stream, so a middlebox with all knobs neutral leaves traces
@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.delegating import DelegatingSender, DelegatingServer
 from repro.core.gather import _filter_ack_runs
 from repro.net.link import LinkStats, validate_windows
 
@@ -119,16 +120,18 @@ class TokenBucketPolicer:
         return admitted
 
 
-class MiddleboxSender:
+class MiddleboxSender(DelegatingSender):
     """A sender proxy applying the ACK-path middlebox chain.
 
-    Intercepts the two batched ACK entry points
+    Intercepts the two round-level ACK entry points
     (:meth:`~repro.tcp.connection.TcpSender.on_ack_run` and
     :meth:`~repro.tcp.connection.TcpSender.on_ack_ladder`), filters the
     round's ACKs through thinning, the policer and cross-traffic bursts in
     that order, stretches the delivery time, and delegates the survivors.
     Everything else proxies to the wrapped sender untouched.
     """
+
+    _OWN = ("_config", "_stats", "_policer")
 
     def __init__(self, sender, config: MiddleboxConfig, stats: LinkStats):
         """Wrap ``sender`` with the middlebox chain of ``config``.
@@ -138,13 +141,12 @@ class MiddleboxSender:
             config: The middlebox knobs.
             stats: Shared per-server accounting for the drops.
         """
-        object.__setattr__(self, "_sender", sender)
-        object.__setattr__(self, "_config", config)
-        object.__setattr__(self, "_stats", stats)
-        object.__setattr__(self, "_policer",
-                           None if config.policer_capacity is None else
-                           TokenBucketPolicer(config.policer_capacity,
-                                              config.policer_rate))
+        super().__init__(sender)
+        self._config = config
+        self._stats = stats
+        self._policer = (None if config.policer_capacity is None else
+                         TokenBucketPolicer(config.policer_capacity,
+                                            config.policer_rate))
 
     # --------------------------------------------------------- the ACK chain
     def _in_burst(self, now: float) -> bool:
@@ -194,12 +196,12 @@ class MiddleboxSender:
         """
         config = self._config
         if config.is_neutral():
-            return self._sender.on_ack_run(ladder, now)
+            return self._inner.on_ack_run(ladder, now)
         if ladder:
             keep = self._keep_mask(len(ladder), now)
             if not keep.all():
                 ladder = [value for value, kept in zip(ladder, keep) if kept]
-        return self._sender.on_ack_run(ladder, now + config.stretch_seconds)
+        return self._inner.on_ack_run(ladder, now + config.stretch_seconds)
 
     def on_ack_ladder(self, runs, now):
         """One round of compressed ACK runs, filtered through the chain.
@@ -213,37 +215,16 @@ class MiddleboxSender:
         """
         config = self._config
         if config.is_neutral():
-            return self._sender.on_ack_ladder(runs, now)
+            return self._inner.on_ack_ladder(runs, now)
         total = sum(count for _, _, count in runs)
         if total:
             keep = self._keep_mask(total, now)
             if not keep.all():
                 runs = _filter_ack_runs(runs, ~keep)
-        return self._sender.on_ack_ladder(runs, now + config.stretch_seconds)
-
-    # --------------------------------------------------- transparent proxying
-    def __getattr__(self, name):
-        """Delegate every non-intercepted attribute to the real sender.
-
-        Args:
-            name: Attribute name.
-
-        Returns:
-            The wrapped sender's attribute.
-        """
-        return getattr(self._sender, name)
-
-    def __setattr__(self, name, value):
-        """Forward attribute writes to the real sender.
-
-        Args:
-            name: Attribute name.
-            value: Value to set.
-        """
-        setattr(self._sender, name, value)
+        return self._inner.on_ack_ladder(runs, now + config.stretch_seconds)
 
 
-class MiddleboxServer:
+class MiddleboxServer(DelegatingServer):
     """A server proxy that puts a middlebox chain on every connection's ACKs.
 
     Wraps any :class:`~repro.core.gather.ProbeableServer`; each sender the
@@ -253,7 +234,7 @@ class MiddleboxServer:
     scalar probe path.
     """
 
-    _OWN = ("_server", "_config", "stats")
+    _OWN = ("_config", "stats")
 
     def __init__(self, server, config: MiddleboxConfig):
         """Wrap ``server`` behind the middlebox chain of ``config``.
@@ -262,28 +243,9 @@ class MiddleboxServer:
             server: The real server (``WebServer`` or ``SyntheticServer``).
             config: The middlebox knobs applied to every connection.
         """
-        object.__setattr__(self, "_server", server)
-        object.__setattr__(self, "_config", config)
-        object.__setattr__(self, "stats", LinkStats())
-
-    def accepts_mss(self, mss: int) -> bool:
-        """Whether the wrapped server accepts a connection with this MSS.
-
-        Args:
-            mss: The proposed maximum segment size.
-
-        Returns:
-            The wrapped server's verdict (the middlebox is ACK-path only).
-        """
-        return self._server.accepts_mss(mss)
-
-    def uses_frto(self) -> bool:
-        """Whether the wrapped server runs F-RTO.
-
-        Returns:
-            The wrapped server's F-RTO flag.
-        """
-        return self._server.uses_frto()
+        super().__init__(server)
+        self._config = config
+        self.stats = LinkStats()
 
     def open_connection(self, mss: int, now: float, requested_bytes: int):
         """Open a connection whose ACK path crosses the middlebox.
@@ -297,30 +259,7 @@ class MiddleboxServer:
             The inner sender wrapped in a :class:`MiddleboxSender`, or
             ``None`` if the wrapped server refuses the connection.
         """
-        sender = self._server.open_connection(mss, now, requested_bytes)
+        sender = self._inner.open_connection(mss, now, requested_bytes)
         if sender is None:
             return None
         return MiddleboxSender(sender, self._config, self.stats)
-
-    def __getattr__(self, name):
-        """Delegate every other attribute to the wrapped server.
-
-        Args:
-            name: Attribute name.
-
-        Returns:
-            The wrapped server's attribute (e.g. ``site``, ``profile``).
-        """
-        return getattr(self._server, name)
-
-    def __setattr__(self, name, value):
-        """Forward writes to the wrapped server (except wrapper-owned state).
-
-        Args:
-            name: Attribute name.
-            value: Value to set.
-        """
-        if name in self._OWN:
-            object.__setattr__(self, name, value)
-        else:
-            setattr(self._server, name, value)

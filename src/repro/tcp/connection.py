@@ -26,18 +26,14 @@ from repro.tcp.packet import Segment, SegmentBlock, expand_blocks
 from repro.tcp.rto import RtoEstimator
 from repro.tcp.slow_start import loop_slow_start_run, make_slow_start
 
-#: Environment knob: set ``REPRO_ACK_BATCH=0`` to force the scalar per-ACK
-#: engine everywhere (the batched fast path is bit-identical, so this exists
-#: for debugging and for the parity tests, not for correctness).
+#: Environment knob: set ``REPRO_ACK_BATCH=0`` to select the scalar
+#: reference end to end -- the per-packet :class:`Segment` emitter plus the
+#: per-ACK engine. With the flag on (the default) the sender materialises one
+#: :class:`SegmentBlock` record per contiguous burst, keeps send times as
+#: spans, and consumes clean ACK ladder stretches in batch; both are
+#: bit-identical to the reference (the engine parity matrix enforces it), so
+#: the knob exists for debugging and the parity tests.
 ACK_BATCH_ENV = "REPRO_ACK_BATCH"
-
-#: Environment knob: set ``REPRO_SEGMENT_BLOCKS=0`` to force the historic
-#: per-packet :class:`Segment` emitter. With the flag on (the default) the
-#: sender materialises one :class:`SegmentBlock` record per contiguous burst
-#: and keeps send times as spans, so emission is O(runs) instead of O(cwnd);
-#: the block path is bit-identical (the block/object parity matrix enforces
-#: it), so the knob exists for debugging and the parity tests.
-SEGMENT_BLOCKS_ENV = "REPRO_SEGMENT_BLOCKS"
 
 #: Runs shorter than this are processed by the scalar loop outright; the
 #: batch bookkeeping only pays for itself on longer runs.
@@ -45,21 +41,12 @@ _MIN_BATCH_RUN = 4
 
 
 def ack_batch_enabled() -> bool:
-    """Whether the batched ACK fast path is enabled (read per sender).
+    """Whether senders emit blocks and batch ACK ladders (read per sender).
 
     Returns:
         The validated value of ``REPRO_ACK_BATCH`` (default ``True``).
     """
     return env_flag(ACK_BATCH_ENV, default=True)
-
-
-def segment_blocks_enabled() -> bool:
-    """Whether senders natively emit segment blocks (read per sender).
-
-    Returns:
-        The validated value of ``REPRO_SEGMENT_BLOCKS`` (default ``True``).
-    """
-    return env_flag(SEGMENT_BLOCKS_ENV, default=True)
 
 
 def _defining_class(alg_type: type, attribute: str) -> type | None:
@@ -200,11 +187,13 @@ class TcpSender:
         self._had_timeout = False
         self._spurious_timeouts = 0
 
-        # ---- segment-block emission wiring -------------------------------
+        # ---- segment-block emission and batched ACK wiring ----------------
         #: Whether transmissions are natively materialised as
-        #: :class:`SegmentBlock` records (legacy callers still receive
-        #: expanded :class:`Segment` objects from the non-``_native`` API).
-        self._blocks_native = segment_blocks_enabled()
+        #: :class:`SegmentBlock` records and clean ladder stretches batch;
+        #: ``False`` is the scalar reference (per-packet :class:`Segment`
+        #: objects, one engine call per ACK). Legacy callers still receive
+        #: expanded :class:`Segment` objects from the non-``_native`` API.
+        self._blocks_native = ack_batch_enabled()
         #: Send-time bookkeeping for the block emitter: ordered, disjoint
         #: ``[start, stop, sent_at]`` spans (the per-packet dict equivalent).
         self._send_spans: list[list] = []
@@ -215,8 +204,6 @@ class TcpSender:
         #: Number of :class:`SegmentBlock` records emitted (diagnostics).
         self.block_records = 0
 
-        # ---- batched ACK engine wiring ----------------------------------
-        self._batch_enabled = ack_batch_enabled()
         #: Number of ACK runs the fast path processed (diagnostics/tests).
         self.batch_runs = 0
         alg_type = type(algorithm)
@@ -375,8 +362,8 @@ class TcpSender:
         packet-level prober) when ``marked`` of ``acked`` recently delivered
         data packets carried the congestion-experienced codepoint. Forwarded
         straight to the algorithm's ``on_ecn_feedback`` hook -- never through
-        the per-ACK engines, so the batched, segment-block and scalar tiers
-        all see the identical call sequence. Callers only invoke this when a
+        the per-ACK engines, so the segment-block and scalar tiers both see
+        the identical call sequence. Callers only invoke this when a
         link actually marked (the default-off knob), so ECN-free runs are
         byte-identical with or without the plumbing.
 
@@ -412,17 +399,13 @@ class TcpSender:
         return self._on_new_ack(ack_packets, now)
 
     def on_ack_run(self, ack_values: Sequence[int], now: float) -> list[Segment]:
-        """Process a round's run of in-order cumulative ACKs in one call.
+        """Process a round's run of cumulative ACKs, one at a time.
 
         Behaviour is identical to feeding the values one by one to
-        :meth:`on_ack`. The batched fast path consumes the longest *clean*
-        prefix of the remaining run -- monotone advances within the current
-        round, no recovery or F-RTO state, no quirk configuration, uniform
-        send times -- and any ACK that breaks the clean shape (a duplicate, a
-        retransmitted packet, a round-boundary crossing) is handed to the
-        scalar per-ACK engine before the fast path re-engages, so every trace
-        is bit-identical either way (the batch/scalar parity test matrix
-        enforces this).
+        :meth:`on_ack`; this is the round entry point of the scalar
+        reference pipeline (and the one the probe wrappers intercept there).
+        The batched engine consumes compressed ladders through
+        :meth:`on_ack_ladder` instead.
 
         Args:
             ack_values: The round's cumulative byte ACK values, in arrival
@@ -432,33 +415,10 @@ class TcpSender:
         Returns:
             The segments the sender transmits in response to the whole run.
         """
-        return self._expand(self.on_ack_run_native(ack_values, now))
-
-    def on_ack_run_native(self, ack_values: Sequence[int], now: float) -> list:
-        """:meth:`on_ack_run`, returning the native emission.
-
-        Args:
-            ack_values: The round's cumulative byte ACK values, in arrival
-                order.
-            now: Current simulation time.
-
-        Returns:
-            The native emission records transmitted in response.
-        """
         out: list = []
-        n = len(ack_values)
-        index = 0
-        while index < n:
-            if n - index >= _MIN_BATCH_RUN and self._run_eligible():
-                consumed, emitted = self._on_ack_run_fast(ack_values, index, now)
-                if consumed:
-                    self.batch_runs += 1
-                    out.extend(emitted)
-                    index += consumed
-                    continue
-            out.extend(self.on_ack_native(ack_values[index], now))
-            index += 1
-        return out
+        for value in ack_values:
+            out.extend(self.on_ack_native(value, now))
+        return self._expand(out)
 
     def on_ack_ladder(self, runs: Sequence[tuple], now: float) -> list:
         """Process a round's ACK ladder expressed as compact packet runs.
@@ -469,8 +429,8 @@ class TcpSender:
         and ``("rep", value, count)`` repeated-cumulative entries, in ladder
         order. Behaviour is bit-identical to expanding the runs and feeding
         them to :meth:`on_ack_run` / :meth:`on_ack`: clean stretches take the
-        batched fast path in O(1) bookkeeping per run (no per-ACK prefix
-        scan), everything else replays through the scalar engine.
+        batched fast path in O(1) bookkeeping per run, everything else (and
+        every ACK of a reference sender) replays through the scalar engine.
 
         Args:
             runs: The compressed ladder: ``("seq", first, count)`` and
@@ -506,7 +466,7 @@ class TcpSender:
     def _run_eligible(self) -> bool:
         """Cheap config/state screening before the per-run checks."""
         config = self.config
-        return (self._batch_enabled
+        return (self._blocks_native
                 and self._started
                 and not self._in_recovery
                 and not self._frto_state
@@ -516,95 +476,17 @@ class TcpSender:
                 and not (config.post_timeout_stall and self._had_timeout)
                 and self._round_end > self._snd_una)
 
-    def _on_ack_run_fast(self, ack_values: Sequence[int], start: int,
-                         now: float) -> tuple[int, list[Segment]]:
-        """Process the longest clean prefix of ``ack_values[start:]``.
-
-        Returns ``(consumed, segments)``; ``consumed == 0`` means no prefix
-        long enough for the batch bookkeeping was clean and the caller should
-        take the scalar path for the next ACK.
-        """
-        mss = self.config.mss
-        total_bytes = self._total_bytes
-        total_packets = self.total_packets
-        u0 = self._snd_una
-        round_end = self._round_end
-        decoupled = self._batch_decoupled
-
-        # The prefix must advance the cumulative point monotonically and stay
-        # within the current round. Unit advances are the shape every clean
-        # CAAI round produces; larger jumps (earlier ACK or data loss) are
-        # fine for decoupled algorithms, whose growth hooks ignore
-        # ``newly_acked_packets``.
-        positions: list[int] = []
-        previous = u0
-        index = start
-        n = len(ack_values)
-        while index < n:
-            value = ack_values[index]
-            pkt = value // mss
-            if value >= total_bytes and total_bytes > 0:
-                pkt = max(pkt, total_packets)
-            if pkt <= previous or pkt > round_end:
-                break
-            if pkt != previous + 1 and not decoupled:
-                break
-            previous = pkt
-            positions.append(pkt)
-            index += 1
-        k = len(positions)
-        if k < _MIN_BATCH_RUN:
-            return 0, []
-
-        # Karn's rule screening: none of the packets the prefix samples RTTs
-        # from (the newest packet each ACK covers) was retransmitted, and all
-        # were sent at the same time (one round's burst); truncate the prefix
-        # at the first violation.
-        retransmitted = self._retransmitted
-        cut = k
-        if self._blocks_native:
-            t0, extent_stop = self._sent_extent(positions[0] - 1)
-            for offset, position in enumerate(positions):
-                if position - 1 >= extent_stop:
-                    cut = offset
-                    break
-            if retransmitted:
-                for offset, position in enumerate(positions[:cut]):
-                    if position - 1 in retransmitted:
-                        cut = offset
-                        break
-        else:
-            send_times = self._send_times
-            t0 = send_times.get(positions[0] - 1)
-            if retransmitted:
-                for offset, position in enumerate(positions):
-                    if (position - 1 in retransmitted
-                            or send_times.get(position - 1) != t0):
-                        cut = offset
-                        break
-            else:
-                for offset, position in enumerate(positions):
-                    if send_times.get(position - 1) != t0:
-                        cut = offset
-                        break
-        if cut < k:
-            if cut < _MIN_BATCH_RUN:
-                return 0, []
-            k = cut
-            del positions[k:]
-        return k, self._consume_clean_run(positions, k, t0, now)
-
     def _fast_packet_run(self, first: int, count: int,
                          now: float) -> tuple[int, list]:
         """Batched fast path for a unit-advance packet run, in O(1) screening.
 
         ``first .. first + count - 1`` are consecutive packet-cumulative ACK
         values (an arithmetic ladder stretch from :meth:`on_ack_ladder`).
-        Because the run is unit-advance by construction, the per-value prefix
-        scan of :meth:`_on_ack_run_fast` collapses to range arithmetic, and
-        the Karn/send-time screening is a single span lookup instead of one
-        dict probe per ACK. Returns ``(consumed, emitted)`` exactly like
-        :meth:`_on_ack_run_fast`.
+        The run is unit-advance by construction, so the clean-prefix scan is
+        range arithmetic and the Karn/send-time screening is a single span
+        lookup. Returns ``(consumed, emitted)``; ``consumed == 0`` means no
+        prefix long enough for the batch bookkeeping was clean and the
+        caller should take the scalar path for the next ACK.
         """
         u0 = self._snd_una
         if first <= u0:
@@ -632,20 +514,19 @@ class TcpSender:
                 k = nearest - lo
         if k < _MIN_BATCH_RUN:
             return 0, []
-        return k, self._consume_clean_run(range(first, first + k), k, t0, now)
+        return k, self._consume_clean_run(first, k, t0, now)
 
-    def _consume_clean_run(self, positions, k: int, t0: float | None,
+    def _consume_clean_run(self, first: int, k: int, t0: float | None,
                            now: float) -> list:
         """Apply a validated clean ACK run and return the emission.
 
-        ``positions`` (an indexable sequence of ``k`` packet-cumulative
-        values; a list from the ladder scan or a ``range`` from the arithmetic
-        fast path) all sample RTTs from packets sent at ``t0``.
+        The run's ``k`` packet-cumulative values ``first .. first + k - 1``
+        all sample RTTs from packets sent at ``t0``.
         """
         mss = self.config.mss
         total_packets = self.total_packets
         u0 = self._snd_una
-        last = positions[k - 1]
+        last = first + k - 1
         if t0 is None:
             rtt = None
         elif self._last_timeout_time is not None and t0 < self._last_timeout_time:
@@ -684,8 +565,8 @@ class TcpSender:
                     state.max_rtt = rtt
             cap_max = 0
             if k > 1:
-                cap_max = self._grow_run(positions, 0, k - 1, ctx, rtt, now, eff_int)
-            self._grow_run(positions, k - 1, k, ctx, rtt, now, None)
+                cap_max = self._grow_run(first, 0, k - 1, ctx, rtt, now, eff_int)
+            self._grow_run(first, k - 1, k, ctx, rtt, now, None)
         # The scalar engine adds every ACK's full packet advance to the
         # round's tally; the growth above counted one per ACK.
         extra_acked = (last - u0) - k
@@ -726,13 +607,13 @@ class TcpSender:
             self._timer_deadline = None
         return emitted
 
-    def _grow_run(self, positions: list[int], begin: int, end: int,
+    def _grow_run(self, first: int, begin: int, end: int,
                   ctx: AckContext, rtt: float | None, now: float,
                   eff_int) -> int:
-        """Window growth for the clean ACKs ``positions[begin:end]`` (decoupled).
+        """Window growth for the clean ACKs ``begin .. end - 1`` (decoupled).
 
-        ``positions[i]`` is the unacknowledged point after the ``i``-th ACK
-        of the run. Returns the largest per-ACK transmission cap observed
+        ``first + i`` is the unacknowledged point after the ``i``-th ACK of
+        the run. Returns the largest per-ACK transmission cap observed
         (0 when ``eff_int`` is ``None``, i.e. the caller computes the cap
         itself after round completion).
         """
@@ -760,7 +641,7 @@ class TcpSender:
                     break
                 index += consumed
                 if eff_int is not None:
-                    cap = positions[index - 1] + eff_int(state.cwnd)
+                    cap = first + index - 1 + eff_int(state.cwnd)
                     if cap > cap_max:
                         cap_max = cap
             else:
@@ -771,12 +652,12 @@ class TcpSender:
                     break
                 if eff_int is not None:
                     if cwnd_log is None:
-                        cap = positions[index + consumed - 1] + eff_int(state.cwnd)
+                        cap = first + index + consumed - 1 + eff_int(state.cwnd)
                         if cap > cap_max:
                             cap_max = cap
                     else:
                         for offset, cwnd in enumerate(cwnd_log):
-                            cap = positions[index + offset] + eff_int(cwnd)
+                            cap = first + index + offset + eff_int(cwnd)
                             if cap > cap_max:
                                 cap_max = cap
                 index += consumed

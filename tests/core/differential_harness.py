@@ -1,8 +1,9 @@
 """Shared machinery of the cross-tier differential test harness.
 
-The repository carries four probe-execution tiers that must all be invisible
-optimisations of the same simulation: the scalar per-ACK engine, the batched
-ACK engine, the segment-block engine, and the columnar cohort engine. The
+The repository carries three probe-execution tiers that must all be
+invisible optimisations of the same simulation: the scalar reference
+(per-packet segments, one engine call per ACK), the segment-block engine
+with its batched ACK ladder, and the columnar cohort engine. The
 parity test matrices cover hand-picked scenarios; this harness adds
 *breadth*: seeded random draws over (algorithm x network condition x server
 quirk x probe seed) are replayed through every tier and must produce
@@ -28,21 +29,20 @@ import numpy as np
 from repro.core.columnar import ColumnarProbeEngine, ProbeJob
 from repro.core.gather import GatherConfig, TraceGatherer
 from repro.net.conditions import NetworkCondition
-from repro.tcp.connection import ACK_BATCH_ENV, SEGMENT_BLOCKS_ENV
+from repro.tcp.connection import ACK_BATCH_ENV
 from repro.tcp.registry import ALL_ALGORITHM_NAMES
 from tests.conftest import make_synthetic_server
 
-#: The four probe-execution tiers the harness compares.
-TIERS = ("scalar", "batched", "blocks", "columnar")
+#: The three probe-execution tiers the harness compares.
+TIERS = ("scalar", "blocks", "columnar")
 
 #: Engine knobs per tier (columnar is driven through ProbeJob directly; its
-#: scalar fallback then rides the fully batched engines, which the other
-#: tiers pin down).
+#: scalar fallback then rides the block engine, which the other tiers pin
+#: down).
 _TIER_KNOBS = {
-    "scalar": {ACK_BATCH_ENV: "0", SEGMENT_BLOCKS_ENV: "0"},
-    "batched": {ACK_BATCH_ENV: "1", SEGMENT_BLOCKS_ENV: "0"},
-    "blocks": {ACK_BATCH_ENV: "1", SEGMENT_BLOCKS_ENV: "1"},
-    "columnar": {ACK_BATCH_ENV: "1", SEGMENT_BLOCKS_ENV: "1"},
+    "scalar": {ACK_BATCH_ENV: "0"},
+    "blocks": {ACK_BATCH_ENV: "1"},
+    "columnar": {ACK_BATCH_ENV: "1"},
 }
 
 #: Seed of the committed corpus (see ``differential_corpus.json``).
@@ -157,7 +157,7 @@ def run_tier(case: dict, tier: str):
 
 
 def assert_case_parity(case: dict) -> None:
-    """Assert all four tiers agree on one case, traces and rng stream.
+    """Assert all three tiers agree on one case, traces and rng stream.
 
     The scalar tier is the reference; every other tier must match its
     traces element by element (window samples, invalid reason, ACK-loss

@@ -1,12 +1,14 @@
-"""Block/object parity matrix for the trace gatherer.
+"""Engine parity matrix for the trace gatherer: default vs scalar reference.
 
-The segment-block engine must be an invisible optimisation, exactly like the
-batched ACK engine before it: every registry algorithm, in both emulated
-environments, across the pre- and post-timeout phases, and under loss, F-RTO
-and the server quirks, must produce bit-identical :class:`WindowTrace`s
-whether the probe pipeline runs on :class:`SegmentBlock` records or on the
-historic per-packet :class:`Segment` emitter (forced via
-``REPRO_SEGMENT_BLOCKS=0``).
+The default engine -- :class:`SegmentBlock` emission with the batched ACK
+ladder -- must be an invisible optimisation: every registry algorithm, in
+both emulated environments, across the pre- and post-timeout phases, and
+under loss, F-RTO and the server quirks, must produce bit-identical
+:class:`WindowTrace`s and leave the probe's rng stream in the same state as
+the scalar reference (per-packet :class:`Segment` objects, one engine call
+per ACK), selected by the one switch ``REPRO_ACK_BATCH=0``. The prober,
+census and training-set byte-compares and the "the block probe builds no
+``Segment``" check ride along.
 """
 
 import numpy as np
@@ -17,7 +19,7 @@ from repro.core.environments import DEFAULT_ENVIRONMENTS
 from repro.core.gather import GatherConfig, TraceGatherer
 from repro.core.prober import packet_level_trace
 from repro.net.conditions import NetworkCondition
-from repro.tcp.connection import ACK_BATCH_ENV, SEGMENT_BLOCKS_ENV
+from repro.tcp.connection import ACK_BATCH_ENV
 from repro.tcp.registry import ALL_ALGORITHM_NAMES
 from repro.web.population import PopulationConfig, ServerPopulation
 from tests.conftest import make_synthetic_server
@@ -36,26 +38,36 @@ SCENARIOS = [
 
 def gather_pair(monkeypatch, algorithm, w_timeout=64, condition=None, seed=7,
                 frto=False, **sender_kwargs):
-    """Probe the same synthetic server with the block and object emitters."""
+    """Probe the same synthetic server on the default and reference engines.
+
+    Returns:
+        ``((default_probe, default_rng_state), (reference_probe,
+        reference_rng_state))``.
+    """
     condition = condition or NetworkCondition.ideal()
-    probes = {}
+    results = {}
     for knob in ("1", "0"):
-        monkeypatch.setenv(SEGMENT_BLOCKS_ENV, knob)
+        monkeypatch.setenv(ACK_BATCH_ENV, knob)
         gatherer = TraceGatherer(GatherConfig(w_timeout=w_timeout, mss=100))
         server = make_synthetic_server(algorithm, **sender_kwargs)
         server.frto = frto
-        probes[knob] = gatherer.gather_probe(server, condition,
-                                             np.random.default_rng(seed))
-    return probes["1"], probes["0"]
+        rng = np.random.default_rng(seed)
+        results[knob] = (gatherer.gather_probe(server, condition, rng),
+                         rng.bit_generator.state)
+    return results["1"], results["0"]
 
 
-def assert_probes_identical(blocks, objects):
-    for trace_blocks, trace_objects in zip(blocks.traces(), objects.traces()):
-        assert trace_blocks.pre_timeout == trace_objects.pre_timeout
-        assert trace_blocks.post_timeout == trace_objects.post_timeout
-        assert trace_blocks.invalid_reason is trace_objects.invalid_reason
-        assert trace_blocks.ack_loss_events == trace_objects.ack_loss_events
-        assert trace_blocks == trace_objects
+def assert_pair_identical(default, reference):
+    (probe_default, state_default), (probe_reference, state_reference) = (
+        default, reference)
+    for trace_default, trace_reference in zip(probe_default.traces(),
+                                              probe_reference.traces()):
+        assert trace_default.pre_timeout == trace_reference.pre_timeout
+        assert trace_default.post_timeout == trace_reference.post_timeout
+        assert trace_default.invalid_reason is trace_reference.invalid_reason
+        assert trace_default.ack_loss_events == trace_reference.ack_loss_events
+        assert trace_default == trace_reference
+    assert state_default == state_reference
 
 
 @pytest.mark.parametrize("algorithm", ALL_ALGORITHM_NAMES)
@@ -63,40 +75,34 @@ def assert_probes_identical(blocks, objects):
                          SCENARIOS, ids=[s[0] for s in SCENARIOS])
 def test_parity_matrix(monkeypatch, algorithm, label, gather_kwargs,
                        sender_kwargs):
-    blocks, objects = gather_pair(monkeypatch, algorithm,
-                                  frto=(label == "frto"),
-                                  **gather_kwargs, **sender_kwargs)
-    assert_probes_identical(blocks, objects)
+    # F-RTO senders run both with the probe's duplicate-ACK workaround (the
+    # server announces F-RTO) and without it (the sender's own spurious
+    # timeout detection then runs).
+    for frto in ((False, True) if label == "frto" else (False,)):
+        assert_pair_identical(*gather_pair(monkeypatch, algorithm, frto=frto,
+                                           **gather_kwargs, **sender_kwargs))
 
 
 @pytest.mark.parametrize("algorithm",
                          ["reno", "cubic-b", "westwood", "lp", "vegas", "yeah"])
 def test_parity_at_full_w_timeout(monkeypatch, algorithm):
     """Spot-check the production w_timeout = 512 (long slow-start runs)."""
-    blocks, objects = gather_pair(monkeypatch, algorithm, w_timeout=512)
-    assert_probes_identical(blocks, objects)
+    assert_pair_identical(*gather_pair(monkeypatch, algorithm, w_timeout=512))
 
 
 def test_parity_under_heavy_ack_loss(monkeypatch):
-    """Fragmented ladders (lost ACKs) split blocks and stretches identically."""
+    """Fragmented ladders (lost ACKs) split blocks and stretches identically,
+    and the gaps still batch for decoupled algorithms."""
     condition = NetworkCondition(average_rtt=0.5, rtt_std=0.0, loss_rate=0.08)
     for algorithm in ("reno", "cubic-b", "illinois"):
-        blocks, objects = gather_pair(monkeypatch, algorithm, w_timeout=64,
-                                      condition=condition, seed=3)
-        assert_probes_identical(blocks, objects)
+        assert_pair_identical(*gather_pair(monkeypatch, algorithm, w_timeout=64,
+                                           condition=condition, seed=3))
 
 
 def test_parity_against_fully_scalar_engine(monkeypatch):
-    """Blocks + batched ACKs vs the PR-1-era scalar object engine."""
-    results = {}
-    for blocks_knob, batch_knob in (("1", "1"), ("0", "0")):
-        monkeypatch.setenv(SEGMENT_BLOCKS_ENV, blocks_knob)
-        monkeypatch.setenv(ACK_BATCH_ENV, batch_knob)
-        gatherer = TraceGatherer(GatherConfig(w_timeout=128, mss=100))
-        results[blocks_knob] = gatherer.gather_probe(
-            make_synthetic_server("cubic-b"), NetworkCondition.ideal(),
-            np.random.default_rng(11))
-    assert_probes_identical(results["1"], results["0"])
+    """A mid-ladder w_timeout = 128 probe against the scalar reference."""
+    assert_pair_identical(*gather_pair(monkeypatch, "cubic-b", w_timeout=128,
+                                       seed=11))
 
 
 def test_block_probe_materialises_no_segments(monkeypatch):
@@ -111,7 +117,7 @@ def test_block_probe_materialises_no_segments(monkeypatch):
         created += 1
         original(self)
 
-    monkeypatch.setenv(SEGMENT_BLOCKS_ENV, "1")
+    monkeypatch.setenv(ACK_BATCH_ENV, "1")
     monkeypatch.setattr(Segment, "__post_init__", counting)
     gatherer = TraceGatherer(GatherConfig(w_timeout=64, mss=100))
     probe = gatherer.gather_probe(make_synthetic_server("reno"),
@@ -125,38 +131,38 @@ def test_packet_level_prober_identical_across_emitters(monkeypatch):
     """The discrete-event path expands blocks without changing a single event."""
     traces = {}
     for knob in ("1", "0"):
-        monkeypatch.setenv(SEGMENT_BLOCKS_ENV, knob)
+        monkeypatch.setenv(ACK_BATCH_ENV, knob)
         traces[knob] = [
             packet_level_trace(algorithm, environment, w_timeout=64, seed=5)
             for algorithm in ("reno", "cubic-b", "westwood")
             for environment in DEFAULT_ENVIRONMENTS]
-    for trace_blocks, trace_objects in zip(traces["1"], traces["0"]):
-        assert trace_blocks == trace_objects
+    for trace_default, trace_reference in zip(traces["1"], traces["0"]):
+        assert trace_default == trace_reference
 
 
 def test_census_report_identical_across_emitters(monkeypatch, trained_classifier):
     """End to end: a small census produces the same report either way."""
     reports = {}
     for knob in ("1", "0"):
-        monkeypatch.setenv(SEGMENT_BLOCKS_ENV, knob)
+        monkeypatch.setenv(ACK_BATCH_ENV, knob)
         population = ServerPopulation(PopulationConfig(size=12, seed=99))
         population.generate()
         runner = CensusRunner(trained_classifier,
                               CensusConfig(seed=5, backend="serial"))
         reports[knob] = runner.run(population)
-    blocks, objects = reports["1"], reports["0"]
-    assert len(blocks) == len(objects)
-    assert blocks.outcomes == objects.outcomes
+    default, reference = reports["1"], reports["0"]
+    assert len(default) == len(reference)
+    assert default.outcomes == reference.outcomes
 
 
 def test_training_examples_identical_across_emitters(monkeypatch):
-    """The training-set builder is bit-identical across emitters."""
+    """The training-set builder is bit-identical across engines."""
     from repro.core.training import TrainingSetBuilder
     from repro.net.conditions import default_condition_database
 
     vectors = {}
     for knob in ("1", "0"):
-        monkeypatch.setenv(SEGMENT_BLOCKS_ENV, knob)
+        monkeypatch.setenv(ACK_BATCH_ENV, knob)
         builder = TrainingSetBuilder(
             conditions_per_pair=2, seed=13, w_timeouts=(64,),
             algorithms=("reno", "cubic-b", "vegas", "westwood"),

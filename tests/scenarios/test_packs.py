@@ -54,7 +54,7 @@ class TestRegistry:
             evasion=scenario_pack_by_name("evasive").evasion)
         wrapped = pack.wrap_server(make_synthetic_server("reno"), "s")
         assert isinstance(wrapped, MiddleboxServer)
-        assert isinstance(wrapped._server, EvasiveServer)
+        assert isinstance(wrapped._inner, EvasiveServer)
 
     def test_condition_presets_resolve(self):
         for pack in SCENARIO_PACKS.values():

@@ -1,9 +1,12 @@
-"""Tests for the hostile middlebox and evasive-server wrappers."""
+"""Tests for the probe-path wrappers: fault shims, middleboxes, evasion."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.core.gather import GatherConfig, TraceGatherer
+from repro.faults import FaultInjected, FaultSpec, FaultyServer, FaultySender
 from repro.net.conditions import NetworkCondition
 from repro.scenarios import (
     EvasionConfig,
@@ -14,7 +17,9 @@ from repro.scenarios import (
     MiddleboxServer,
     TokenBucketPolicer,
     evasion_rng,
+    scenario_pack_by_name,
 )
+from repro.tcp.connection import ACK_BATCH_ENV
 from tests.conftest import make_synthetic_server
 
 
@@ -121,12 +126,109 @@ class TestMiddleboxSender:
         assert server.stats.thinned_acks > 0
         assert trace is not None
 
-    def test_attribute_proxying(self):
+
+#: (server wrapper factory, sender wrapper type) for each wrapper pair.
+WRAPPER_PAIRS = {
+    "faulty": (lambda inner: FaultyServer(
+        inner, [FaultSpec(kind="connection_reset", at_round=99)]),
+        FaultySender),
+    "middlebox": (lambda inner: MiddleboxServer(
+        inner, MiddleboxConfig(thin_every=2)), MiddleboxSender),
+    "evasive": (lambda inner: EvasiveServer(
+        inner, EvasionConfig(timer_delay=0.5), pack_seed=0, server_id="s"),
+        EvasiveSender),
+}
+
+
+class TestProxyContract:
+    """The one delegation contract every wrapper pair shares."""
+
+    @pytest.mark.parametrize("pair", list(WRAPPER_PAIRS))
+    def test_attribute_proxying(self, pair):
+        wrap, sender_type = WRAPPER_PAIRS[pair]
         inner = make_synthetic_server("cubic-b")
-        server = MiddleboxServer(inner, MiddleboxConfig(thin_every=2))
+        server = wrap(inner)
+        # Reads delegate and writes land on the wrapped server.
         assert server.algorithm_name == "cubic-b"
-        assert server.accepts_mss(100) == inner.accepts_mss(100)
-        assert server.uses_frto() == inner.uses_frto()
+        server.minimum_mss = 200
+        assert inner.minimum_mss == 200
+        server.frto = True
+        assert server.accepts_mss(100) is inner.accepts_mss(100) is False
+        assert server.accepts_mss(200) is inner.accepts_mss(200) is True
+        assert server.uses_frto() is inner.uses_frto() is True
+        # Wrapper-owned state stays on the wrapper, also when reassigned.
+        for name in type(server)._OWN:
+            setattr(server, name, getattr(server, name))
+            assert name in vars(server) and name not in vars(inner)
+
+        sender = server.open_connection(mss=200, now=0.0,
+                                        requested_bytes=10**6)
+        assert isinstance(sender, sender_type)
+        real = sender._inner
+        assert sender.state is real.state
+        assert sender.snd_nxt == real.snd_nxt
+        sender._timer_deadline = 3.0
+        assert real._timer_deadline == 3.0
+        for name in type(sender)._OWN:
+            setattr(sender, name, getattr(sender, name))
+            assert name in vars(sender) and name not in vars(real)
+
+
+def _wrapped_server(wrapper: str, algorithm: str):
+    inner = make_synthetic_server(algorithm)
+    if wrapper == "faulty":
+        # A mid-trace reset, fired in environment A's post-timeout phase.
+        return FaultyServer(inner, [FaultSpec(kind="connection_reset",
+                                              at_round=10)])
+    return scenario_pack_by_name(wrapper).wrap_server(inner, "server-000007")
+
+
+def _observe_wrapped_probe(wrapper, algorithm, loss):
+    """Everything a wrapped probe can show: traces or fault, rng, counters."""
+    server = _wrapped_server(wrapper, algorithm)
+    condition = NetworkCondition(average_rtt=0.2, rtt_std=0.0, loss_rate=loss)
+    gatherer = TraceGatherer(GatherConfig(w_timeout=64, mss=100))
+    rng = np.random.default_rng(17)
+    try:
+        outcome = list(gatherer.gather_probe(server, condition, rng).traces())
+    except FaultInjected as fault:
+        outcome = (fault.kind, fault.transient)
+    return {
+        "outcome": outcome,
+        "rng": rng.bit_generator.state,
+        "link_stats": (dataclasses.asdict(server.stats)
+                       if isinstance(server, MiddleboxServer) else None),
+        "events": getattr(server, "events", None),
+        "connections_wrapped": getattr(server, "connections_wrapped", None),
+    }
+
+
+class TestWrappedTierParity:
+    """Wrapped servers run the same probe on the reference and default tiers.
+
+    The wrappers' ``on_ack_run`` overrides serve the scalar reference
+    (``REPRO_ACK_BATCH=0``), their ``on_ack_ladder`` overrides the default
+    block engine; both must see and do exactly the same.
+    """
+
+    @pytest.mark.parametrize("loss", [0.0, 0.02], ids=["clean", "lossy"])
+    @pytest.mark.parametrize("wrapper", ["faulty", "policed",
+                                         "ack-manipulated", "evasive"])
+    @pytest.mark.parametrize("algorithm", ["reno", "cubic-b", "westwood",
+                                           "vegas", "illinois"])
+    def test_reference_equals_default(self, monkeypatch, algorithm, wrapper,
+                                      loss):
+        observed = {}
+        for knob in ("1", "0"):
+            monkeypatch.setenv(ACK_BATCH_ENV, knob)
+            observed[knob] = _observe_wrapped_probe(wrapper, algorithm, loss)
+        assert observed["1"] == observed["0"]
+        if wrapper == "faulty":
+            assert observed["1"]["outcome"] == ("connection_reset", True)
+        elif wrapper == "evasive":
+            assert observed["1"]["connections_wrapped"] == 2
+        else:
+            assert observed["1"]["link_stats"]["delivered"] > 0
 
 
 class TestEvasionConfig:
@@ -195,7 +297,7 @@ class TestEvasiveServer:
             EvasionConfig(timer_delay=0.5), pack_seed=0, server_id="s")
         sender = server.open_connection(mss=100, now=0.0,
                                         requested_bytes=10**6)
-        inner = sender._sender
+        inner = sender._inner
         inner._timer_deadline = 3.0
         assert sender.next_timer_deadline() == 3.5
         inner._timer_deadline = None

@@ -4,11 +4,13 @@ This generalizes ``tests/tcp/algo_harness.py`` (which drives one algorithm
 against a bare :class:`CongestionState`) to full-stack conformance: every
 registry family, classic and modern, must pass the same four checks:
 
-1. **Batch parity** — probing a server built on the family produces
-   bit-identical traces whether the sender runs the batched
-   :meth:`on_ack_run` engine or the scalar per-ACK loop.
-2. **Segment-block parity** — likewise for the block emitter vs the
-   per-packet segment path.
+1. **Engine parity** — probing a server built on the family produces
+   bit-identical traces, on a clean and on a lossy path, whether the sender
+   runs the default engine (segment blocks with the batched ACK ladder) or
+   the scalar reference (``REPRO_ACK_BATCH=0``).
+2. **Block emission** — the default probe builds no per-packet
+   :class:`~repro.tcp.packet.Segment`, so the parity above really compares
+   the block pipeline against the reference.
 3. **Registry round-trip** — ``name -> create_algorithm -> name`` is the
    identity, and the class/label lookups agree with the instance.
 4. **Golden trajectory** — a full CAAI probe (environments A and B, fixed
@@ -37,7 +39,8 @@ import pytest
 import repro.tcp.registry as registry
 from repro.core.gather import GatherConfig, TraceGatherer
 from repro.net.conditions import NetworkCondition
-from repro.tcp.connection import ACK_BATCH_ENV, SEGMENT_BLOCKS_ENV
+from repro.tcp.connection import ACK_BATCH_ENV
+from repro.tcp.packet import Segment
 from tests.conftest import make_synthetic_server
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -105,11 +108,11 @@ def gather_probe(row: FamilyRow, *, w_timeout: int = 64,
         condition or NetworkCondition.ideal(), np.random.default_rng(seed))
 
 
-def gather_probe_pair(monkeypatch, row: FamilyRow, env_name: str, **kwargs):
-    """The same probe with an engine knob on and off."""
+def gather_probe_pair(monkeypatch, row: FamilyRow, **kwargs):
+    """The same probe on the default engine and on the scalar reference."""
     probes = {}
     for knob in ("1", "0"):
-        monkeypatch.setenv(env_name, knob)
+        monkeypatch.setenv(ACK_BATCH_ENV, knob)
         probes[knob] = gather_probe(row, **kwargs)
     return probes["1"], probes["0"]
 
@@ -163,18 +166,27 @@ class TestConformanceTable:
 @pytest.mark.parametrize("row", FAMILIES, ids=FAMILY_IDS)
 class TestPerFamilyConformance:
     def test_batch_parity(self, monkeypatch, row):
-        fast, scalar = gather_probe_pair(monkeypatch, row, ACK_BATCH_ENV)
+        fast, scalar = gather_probe_pair(monkeypatch, row)
         assert_probes_identical(fast, scalar)
 
     def test_segment_block_parity(self, monkeypatch, row):
-        blocks, segments = gather_probe_pair(monkeypatch, row,
-                                             SEGMENT_BLOCKS_ENV)
-        assert_probes_identical(blocks, segments)
+        created = 0
+        original = Segment.__post_init__
+
+        def counting(self):
+            nonlocal created
+            created += 1
+            original(self)
+
+        monkeypatch.setenv(ACK_BATCH_ENV, "1")
+        monkeypatch.setattr(Segment, "__post_init__", counting)
+        gather_probe(row)
+        assert created == 0
 
     def test_engine_parity_under_loss(self, monkeypatch, row):
         condition = NetworkCondition(average_rtt=0.2, rtt_std=0.0,
                                      loss_rate=0.02)
-        fast, scalar = gather_probe_pair(monkeypatch, row, ACK_BATCH_ENV,
+        fast, scalar = gather_probe_pair(monkeypatch, row,
                                          condition=condition, seed=13)
         assert_probes_identical(fast, scalar)
 

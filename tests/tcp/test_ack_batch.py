@@ -1,9 +1,10 @@
-"""Tests for the batched ACK engine (sender-level run API).
+"""Tests for the batched ACK engine (sender-level ladder API).
 
 The gather-level parity matrix lives in
-``tests/core/test_gather_batch_parity.py``; this module exercises the
-:meth:`TcpSender.on_ack_run` API directly: equivalence with the scalar
-per-ACK loop, fallback behaviour, the ``REPRO_ACK_BATCH`` knob, the
+``tests/core/test_gather_block_parity.py``; this module exercises the
+batched fast path of :meth:`TcpSender.on_ack_ladder` directly: equivalence
+with the scalar per-ACK loop, fallback behaviour, the trust checks on custom
+algorithms' batch hooks, the ``REPRO_ACK_BATCH`` reference switch, the
 send-bookkeeping pruning, and the batched RTO estimator.
 """
 
@@ -34,11 +35,35 @@ def make_sender(algorithm="reno", data_bytes=10_000_000, **config_kwargs):
     return sender
 
 
+def ladder(acks, mss=100):
+    """Compress cumulative byte ACKs into ``on_ack_ladder`` runs.
+
+    Unit advances merge into ``("seq", first, count)`` stretches; any other
+    value (a gap or a repeat) opens a new one-entry stretch, which the
+    sender feeds to the per-ACK engine exactly like the flat ladder.
+    """
+    runs = []
+    for ack in acks:
+        value = ack // mss
+        if runs and runs[-1][1] + runs[-1][2] == value:
+            runs[-1] = ("seq", runs[-1][1], runs[-1][2] + 1)
+        else:
+            runs.append(("seq", value, 1))
+    return runs
+
+
+def on_ack_ladder(sender, acks, now):
+    """Feed byte ACKs through the ladder API; legacy Segment emission out."""
+    return sender._expand(sender.on_ack_ladder(ladder(acks), now))
+
+
 def drive_probe(sender, rounds=30, rtt=1.0, use_run=True, w_timeout=256):
     """Drive a sender through an emulated CAAI probe (timeout included).
 
-    Returns the per-round segment counts -- a window trace equivalent that
-    captures every observable transmission decision.
+    ``use_run`` feeds each round's ACKs through the batched ladder API,
+    otherwise one :meth:`TcpSender.on_ack` call per ACK. Returns the
+    per-round segment counts -- a window trace equivalent that captures
+    every observable transmission decision.
     """
     now = 0.0
     segments = sender.start(now)
@@ -56,7 +81,7 @@ def drive_probe(sender, rounds=30, rtt=1.0, use_run=True, w_timeout=256):
             continue
         acks = [seg.end_seq for seg in segments]
         if use_run:
-            segments = sender.on_ack_run(acks, now)
+            segments = on_ack_ladder(sender, acks, now)
         else:
             next_segments = []
             for ack in acks:
@@ -86,14 +111,27 @@ class TestRunApiEquivalence:
         assert sender.batch_runs > 0
 
     def test_duplicate_values_fall_back(self):
-        sender = make_sender("reno")
-        segments = sender.start(0.0)
-        acks = [seg.end_seq for seg in segments]
-        # Repeating the last value makes the run non-monotone: the sender
-        # must fall back and treat the repeat as a duplicate ACK.
-        sender.on_ack_run(acks + [acks[-1]] * 4, 1.0)
-        assert sender.batch_runs == 0
-        assert sender._dupack_count > 0
+        def drive(use_run):
+            sender = make_sender("reno", initial_window=8)
+            segments = sender.start(0.0)
+            acks = [seg.end_seq for seg in segments]
+            # Repeating the last value makes the run non-monotone: the
+            # sender must fall back and treat each repeat as a duplicate.
+            acks += [acks[-1]] * 4
+            if use_run:
+                return sender, on_ack_ladder(sender, acks, 1.0)
+            out = []
+            for ack in acks:
+                out.extend(sender.on_ack(ack, 1.0))
+            return sender, out
+
+        batch_sender, batch_out = drive(True)
+        scalar_sender, scalar_out = drive(False)
+        # Only the clean stretch batched; the repeats ran per ACK.
+        assert batch_sender.batch_runs == 1
+        assert batch_sender._dupack_count == 4
+        assert batch_out == scalar_out
+        assert batch_sender.snapshot() == scalar_sender.snapshot()
 
     def test_mixed_send_times_split_at_the_boundary(self):
         def drive(use_run):
@@ -108,7 +146,7 @@ class TestRunApiEquivalence:
                 mid.extend(sender.on_ack(ack, 1.0))
             combined = later + [seg.end_seq for seg in mid]
             if use_run:
-                out = sender.on_ack_run(combined, 2.0)
+                out = on_ack_ladder(sender, combined, 2.0)
             else:
                 out = []
                 for ack in combined:
@@ -117,8 +155,10 @@ class TestRunApiEquivalence:
 
         batch_sender, batch_out = drive(True)
         scalar_sender, scalar_out = drive(False)
-        # The uniform-time prefix batches; the remainder (sent at a different
-        # time) is replayed through the scalar engine, identically.
+        # One unit-advance stretch covers packets sent at two different
+        # times: the fast path splits it at the boundary and batches each
+        # uniform-time part, identically to the scalar engine.
+        assert batch_sender.batch_runs == 2
         assert batch_out == scalar_out
         assert batch_sender.snapshot() == scalar_sender.snapshot()
 
@@ -173,7 +213,7 @@ class TestCustomSubclassSafety:
                 if len(acks) > 6:
                     del acks[3]
                 if use_run:
-                    segments = sender.on_ack_run(acks, now)
+                    segments = on_ack_ladder(sender, acks, now)
                 else:
                     nxt = []
                     for ack in acks:
@@ -210,7 +250,7 @@ class TestBatchKnob:
         monkeypatch.setenv(ACK_BATCH_ENV, "0")
         assert not ack_batch_enabled()
         sender = make_sender("reno")
-        assert not sender._batch_enabled
+        assert not sender.emits_blocks
         windows, _ = drive_probe(sender)
         assert sender.batch_runs == 0
         monkeypatch.setenv(ACK_BATCH_ENV, "1")
@@ -226,13 +266,23 @@ class TestBatchKnob:
 
 
 class TestSendBookkeepingPruning:
-    @pytest.mark.parametrize("use_run", [True, False])
-    def test_send_times_stay_bounded(self, use_run):
+    @pytest.mark.parametrize("batch", [True, False])
+    def test_send_times_stay_bounded(self, monkeypatch, batch):
+        """Block spans (default) and the reference's dict both stay bounded."""
+        monkeypatch.setenv(ACK_BATCH_ENV, "1" if batch else "0")
         sender = make_sender("cubic-b")
-        drive_probe(sender, rounds=30, use_run=use_run)
+        drive_probe(sender, rounds=30, use_run=batch)
         in_flight = sender.snd_nxt - sender.snd_una
-        assert len(sender._send_times) <= in_flight + 1
-        assert all(index >= sender.snd_una for index in sender._send_times)
+        if batch:
+            tracked = [index for start, stop, _ in sender._send_spans
+                       for index in range(start, stop)]
+            assert not sender._send_times
+        else:
+            tracked = list(sender._send_times)
+            assert not sender._send_spans
+        assert tracked
+        assert len(tracked) <= in_flight + 1
+        assert all(index >= sender.snd_una for index in tracked)
 
     def test_retransmission_marker_pruned_after_advance(self):
         sender = make_sender("reno")

@@ -4,16 +4,17 @@ The gather-level parity matrix lives in
 ``tests/core/test_gather_block_parity.py``; this module exercises the
 :class:`SegmentBlock` record itself, the sender's native block API
 (``start_native`` / ``on_ack_ladder``), the send-time span bookkeeping that
-replaces the per-packet dict, and the legacy expansion adapter.
+replaces the per-packet dict, the legacy expansion adapter, and the
+``REPRO_ACK_BATCH`` switch that selects the per-packet reference emitter.
 """
 
 import pytest
 
 from repro.tcp.connection import (
-    SEGMENT_BLOCKS_ENV,
+    ACK_BATCH_ENV,
     SenderConfig,
     TcpSender,
-    segment_blocks_enabled,
+    ack_batch_enabled,
 )
 from repro.tcp.packet import (
     Segment,
@@ -86,19 +87,20 @@ class TestSegmentBlock:
 
 class TestEnvironmentKnob:
     def test_default_is_enabled(self, monkeypatch):
-        monkeypatch.delenv(SEGMENT_BLOCKS_ENV, raising=False)
-        assert segment_blocks_enabled()
+        monkeypatch.delenv(ACK_BATCH_ENV, raising=False)
+        assert ack_batch_enabled()
+        assert make_sender().emits_blocks
 
     @pytest.mark.parametrize("value", ["0", "false", "off", "no"])
     def test_disabling_values(self, monkeypatch, value):
-        monkeypatch.setenv(SEGMENT_BLOCKS_ENV, value)
-        assert not segment_blocks_enabled()
+        monkeypatch.setenv(ACK_BATCH_ENV, value)
+        assert not ack_batch_enabled()
         sender = make_sender()
         assert not sender.emits_blocks
         assert isinstance(sender.start_native(0.0)[0], Segment)
 
     def test_native_mode_emits_blocks(self, monkeypatch):
-        monkeypatch.setenv(SEGMENT_BLOCKS_ENV, "1")
+        monkeypatch.setenv(ACK_BATCH_ENV, "1")
         sender = make_sender()
         emitted = sender.start_native(0.0)
         assert all(isinstance(block, SegmentBlock) for block in emitted)
@@ -109,7 +111,7 @@ class TestEnvironmentKnob:
 class TestLegacyExpansion:
     def drive(self, monkeypatch, knob, rounds=12):
         """Drive a probe-shaped exchange through the legacy Segment API."""
-        monkeypatch.setenv(SEGMENT_BLOCKS_ENV, knob)
+        monkeypatch.setenv(ACK_BATCH_ENV, knob)
         sender = make_sender("cubic-b", initial_window=3)
         now = 0.0
         segments = sender.start(now)
@@ -125,7 +127,7 @@ class TestLegacyExpansion:
         assert self.drive(monkeypatch, "1") == self.drive(monkeypatch, "0")
 
     def test_expansion_counts_objects(self, monkeypatch):
-        monkeypatch.setenv(SEGMENT_BLOCKS_ENV, "1")
+        monkeypatch.setenv(ACK_BATCH_ENV, "1")
         sender = make_sender()
         segments = sender.start(0.0)
         assert sender.segment_objects == len(segments) == 2
@@ -142,8 +144,8 @@ class TestAckLadder:
         return values
 
     def drive_pair(self, monkeypatch, runs_per_round, algorithm="reno"):
-        """Run the same ladder through on_ack_ladder and legacy on_ack_run."""
-        monkeypatch.setenv(SEGMENT_BLOCKS_ENV, "1")
+        """Run the same ladder through on_ack_ladder and per-ACK on_ack_run."""
+        monkeypatch.setenv(ACK_BATCH_ENV, "1")
         ladder_sender = make_sender(algorithm, initial_window=4)
         legacy_sender = make_sender(algorithm, initial_window=4)
         ladder_sender.start_native(0.0)
@@ -162,7 +164,7 @@ class TestAckLadder:
         assert ladder_out == legacy_out
 
     def test_repeated_runs_count_as_duplicates(self, monkeypatch):
-        monkeypatch.setenv(SEGMENT_BLOCKS_ENV, "1")
+        monkeypatch.setenv(ACK_BATCH_ENV, "1")
         sender = make_sender("reno", initial_window=4, dupack_threshold=3)
         sender.start_native(0.0)
         sender.on_ack_ladder([("seq", 1, 4)], 1.0)
@@ -189,7 +191,7 @@ class TestAckLadder:
         assert ladder_out == legacy_out
 
     def test_batch_engages_on_arithmetic_runs(self, monkeypatch):
-        monkeypatch.setenv(SEGMENT_BLOCKS_ENV, "1")
+        monkeypatch.setenv(ACK_BATCH_ENV, "1")
         sender = make_sender("reno", initial_window=8)
         sender.start_native(0.0)
         sender.on_ack_ladder([("seq", 1, 8)], 1.0)
@@ -198,7 +200,7 @@ class TestAckLadder:
 
 class TestSpanBookkeeping:
     def test_spans_merge_within_a_burst(self, monkeypatch):
-        monkeypatch.setenv(SEGMENT_BLOCKS_ENV, "1")
+        monkeypatch.setenv(ACK_BATCH_ENV, "1")
         sender = make_sender(initial_window=4)
         sender.start_native(0.0)
         assert sender._send_spans == [[0, 4, 0.0]]
@@ -207,7 +209,7 @@ class TestSpanBookkeeping:
         assert sender._send_spans == [[4, 12, 1.0]]
 
     def test_retransmission_splits_its_span(self, monkeypatch):
-        monkeypatch.setenv(SEGMENT_BLOCKS_ENV, "1")
+        monkeypatch.setenv(ACK_BATCH_ENV, "1")
         sender = make_sender(initial_window=4)
         sender.start_native(0.0)
         sender.on_ack_ladder([("seq", 1, 4)], 1.0)   # arms the RTO timer
@@ -223,7 +225,7 @@ class TestSpanBookkeeping:
         assert sender._sent_extent(retransmitted + 1) == (1.0, sender.snd_nxt)
 
     def test_prune_skips_when_una_does_not_advance(self, monkeypatch):
-        monkeypatch.setenv(SEGMENT_BLOCKS_ENV, "1")
+        monkeypatch.setenv(ACK_BATCH_ENV, "1")
         sender = make_sender(initial_window=4)
         sender.start_native(0.0)
         before = [list(span) for span in sender._send_spans]
@@ -231,7 +233,7 @@ class TestSpanBookkeeping:
         assert sender._send_spans == before
 
     def test_sent_time_outside_spans_is_none(self, monkeypatch):
-        monkeypatch.setenv(SEGMENT_BLOCKS_ENV, "1")
+        monkeypatch.setenv(ACK_BATCH_ENV, "1")
         sender = make_sender(initial_window=4)
         sender.start_native(0.0)
         assert sender._sent_time(99) is None
