@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 
 from repro.analysis.tables import format_table
 from repro.cli.settings import (
@@ -31,6 +30,7 @@ from repro.cli.settings import (
     add_population_arguments,
     add_training_arguments,
     build_population,
+    run_command,
     settings_from_args,
     train_classifier,
 )
@@ -58,13 +58,7 @@ def main(argv: list[str] | None = None) -> int:
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.handler(args)
-    except (CheckpointError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        if isinstance(error, CheckpointError) and error.hint:
-            print(f"hint: {error.hint}", file=sys.stderr)
-        return 2
+    return run_command(args.handler, args)
 
 
 # ----------------------------------------------------------------- commands

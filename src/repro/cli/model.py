@@ -22,20 +22,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 
 from repro.cli.settings import (
     TRAINING_KEYS,
     add_training_arguments,
+    run_command,
     settings_from_args,
     train_classifier,
 )
-from repro.serving.artifact import (
-    ModelArtifactError,
-    inspect_model,
-    save_model,
-    timed_load,
-)
+from repro.serving.artifact import inspect_model, save_model, timed_load
 
 PROG = "python -m repro.model"
 
@@ -51,13 +46,7 @@ def main(argv: list[str] | None = None) -> int:
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.handler(args)
-    except (ModelArtifactError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        if isinstance(error, ModelArtifactError) and error.hint:
-            print(f"hint: {error.hint}", file=sys.stderr)
-        return 2
+    return run_command(args.handler, args)
 
 
 # ----------------------------------------------------------------- commands

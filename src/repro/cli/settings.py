@@ -9,16 +9,19 @@ metadata), and the builders that turn settings back into a trained
 classifier or a generated population. Because everything is keyed by the
 settings alone, any CLI rebuilding from the same dict gets bit-identical
 objects — the property resume, artifact round-trips and the serving smoke
-check all rest on.
+check all rest on. It also owns the one error-reporting wrapper every
+``repro`` CLI (census, model, serve, report) runs its command through.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 
 from repro.core.classifier import CaaiClassifier
 from repro.core.training import TrainingSetBuilder
 from repro.net.conditions import CONDITION_DB_PRESETS, condition_database_preset
+from repro.store import StoreError
 from repro.web.population import PopulationConfig, ServerPopulation
 
 #: Settings keys produced by :func:`add_training_arguments`.
@@ -28,6 +31,26 @@ TRAINING_KEYS = ("conditions", "condition_db_size", "condition_seed",
 
 #: Settings keys produced by :func:`add_population_arguments`.
 POPULATION_KEYS = ("servers", "population_seed")
+
+
+def run_command(command, args: argparse.Namespace) -> int:
+    """Run one CLI command, reporting store and usage errors as exit 2.
+
+    Args:
+        command: The command handler, called as ``command(args)``.
+        args: The parsed namespace.
+
+    Returns:
+        The command's exit code, or 2 after printing ``error:`` (and, for a
+        :class:`~repro.store.StoreError` carrying one, ``hint:``) to stderr.
+    """
+    try:
+        return command(args)
+    except (StoreError, ValueError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        if getattr(error, "hint", None):
+            print(f"hint: {error.hint}", file=sys.stderr)
+        return 2
 
 
 def add_training_arguments(parser: argparse.ArgumentParser) -> None:

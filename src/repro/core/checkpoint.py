@@ -25,7 +25,10 @@ their population index, which makes the merged
 Corruption is detected loudly rather than papered over: a truncated JSONL
 line, a manifest/config fingerprint mismatch, a duplicate shard completion,
 or a record-count mismatch each raise :class:`CheckpointError` with a
-message that says which file is bad and what to do about it.
+message that says which file is bad and what to do about it. The atomic
+manifest write, the manifest parse and the shard-file framing are the shared
+mechanics of :mod:`repro.store`; this module keeps the census-specific
+checks (shard assignment, fingerprints, population-index uniqueness).
 """
 
 from __future__ import annotations
@@ -33,13 +36,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.results import CensusReport, ServerOutcome
+from repro.store import DocumentFormat, RecordFormat, StoreError, write_json_atomic
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.census import CensusConfig
@@ -55,31 +58,8 @@ SHARD_PENDING = "pending"
 SHARD_COMPLETE = "complete"
 
 
-class CheckpointError(RuntimeError):
-    """A checkpoint directory is missing, corrupt, or from a different run.
-
-    Besides the human-readable message, carries structured context so
-    callers (the CLI, the chaos harness) can point at the offending file and
-    print a one-line recovery hint without parsing the message text.
-
-    Attributes:
-        path: The file the error is about (``None`` when not file-specific).
-        hint: One-line recovery suggestion (``None`` when the message is
-            self-contained).
-    """
-
-    def __init__(self, message: str, *, path: "str | Path | None" = None,
-                 hint: str | None = None):
-        """Build the error with optional structured context.
-
-        Args:
-            message: The full human-readable description.
-            path: The offending file, when one is identifiable.
-            hint: One-line recovery suggestion.
-        """
-        super().__init__(message)
-        self.path = Path(path) if path is not None else None
-        self.hint = hint
+class CheckpointError(StoreError):
+    """A checkpoint directory is missing, corrupt, or from a different run."""
 
 
 class TornWriteError(CheckpointError):
@@ -94,32 +74,17 @@ class TornWriteError(CheckpointError):
     """
 
 
-def write_json_atomic(path: str | Path, payload: dict) -> None:
-    """Durably replace ``path`` with a JSON document (write temp + rename).
+#: The checkpoint manifest: a versioned JSON document.
+_MANIFEST = DocumentFormat(
+    "checkpoint manifest", CHECKPOINT_FORMAT_VERSION, CheckpointError,
+    hint="rerun the census with a fresh checkpoint directory")
 
-    The temp file is fsynced before the rename and the directory is fsynced
-    after it, so a crash at any point leaves either the old file or the new
-    one — never a torn manifest. Shared by the census checkpoint and the
-    experiment artifact store (:mod:`repro.experiments.store`).
-
-    Args:
-        path: Destination file path.
-        payload: JSON-serialisable manifest content.
-    """
-    path = Path(path)
-    temp = path.with_suffix(path.suffix + ".tmp")
-    with open(temp, "w", encoding="utf-8") as stream:
-        stream.write(json.dumps(payload, indent=2, sort_keys=True))
-        stream.flush()
-        os.fsync(stream.fileno())
-    os.replace(temp, path)
-    # Persist the rename itself, so a power loss cannot leave an empty
-    # manifest pointing at durably written data files.
-    directory_fd = os.open(path.parent, os.O_RDONLY)
-    try:
-        os.fsync(directory_fd)
-    finally:
-        os.close(directory_fd)
+#: Shard files: outcome records closed by a counted ``shard-complete`` marker.
+_SHARD = RecordFormat(
+    "shard file", kind="outcome", marker="shard-complete",
+    count_field="count", error=CheckpointError,
+    hint="delete the file and set the shard back to \"pending\" in the "
+         "manifest so resume re-runs it")
 
 
 def shard_of(server_id: str, seed: int, num_shards: int) -> int:
@@ -279,12 +244,10 @@ class CensusCheckpoint:
         """
         manifest_path = Path(directory) / MANIFEST_NAME
         if manifest_path.exists():
-            raise CheckpointError(
-                f"checkpoint already exists at {manifest_path}; use resume, "
-                "or point --checkpoint at an empty directory to start over",
-                path=manifest_path,
-                hint="use resume, or point --checkpoint at an empty "
-                     "directory to start over")
+            raise CheckpointError.about(
+                "checkpoint manifest", manifest_path, "already exists",
+                "use resume, or point --checkpoint at an empty directory to "
+                "start over")
 
     @classmethod
     def create(cls, directory: str | Path, *, seed: int, num_shards: int,
@@ -341,31 +304,9 @@ class CensusCheckpoint:
                 unsupported format version.
         """
         directory = Path(directory)
-        manifest_path = directory / MANIFEST_NAME
-        if not manifest_path.exists():
-            raise CheckpointError(
-                f"no checkpoint manifest at {manifest_path}; run a sharded "
-                "census first (python -m repro.census run)",
-                path=manifest_path,
-                hint="run a sharded census first (python -m repro.census run)")
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as error:
-            raise CheckpointError(
-                f"checkpoint manifest {manifest_path} is not valid JSON "
-                f"({error}); the file is corrupt — delete the checkpoint "
-                "directory and rerun",
-                path=manifest_path,
-                hint="delete the checkpoint directory and rerun") from error
-        version = manifest.get("format")
-        if version != CHECKPOINT_FORMAT_VERSION:
-            raise CheckpointError(
-                f"checkpoint manifest {manifest_path} has format version "
-                f"{version!r}, this code reads version "
-                f"{CHECKPOINT_FORMAT_VERSION}; rerun the census with a fresh "
-                "checkpoint directory",
-                path=manifest_path,
-                hint="rerun the census with a fresh checkpoint directory")
+        manifest = _MANIFEST.read(
+            directory / MANIFEST_NAME,
+            missing="run a sharded census first (python -m repro.census run)")
         return cls(directory, manifest)
 
     def verify_fingerprint(self, fingerprint: str) -> None:
@@ -379,16 +320,14 @@ class CensusCheckpoint:
         """
         recorded = self.manifest.get("fingerprint")
         if recorded != fingerprint:
-            raise CheckpointError(
-                f"config fingerprint mismatch in {self.directory / MANIFEST_NAME}: "
-                f"checkpoint was created with {recorded}, this invocation "
-                f"computes {fingerprint}. Resuming with a different census/"
-                "population/classifier configuration would silently mix "
-                "incompatible results — rerun with the original settings or "
-                "start a fresh checkpoint directory",
-                path=self.directory / MANIFEST_NAME,
-                hint="rerun with the original settings or start a fresh "
-                     "checkpoint directory")
+            raise CheckpointError.about(
+                "checkpoint manifest", self.directory / MANIFEST_NAME,
+                f"records config fingerprint {recorded}, this invocation "
+                f"computes {fingerprint} (fingerprint mismatch: resuming with "
+                "another census/population/classifier configuration would "
+                "silently mix incompatible results)",
+                "rerun with the original settings or start a fresh "
+                "checkpoint directory")
 
     # -------------------------------------------------------------- queries
     @property
@@ -477,40 +416,22 @@ class CensusCheckpoint:
                 crash.
         """
         if self.shard_status(shard_index) == SHARD_COMPLETE:
-            raise CheckpointError(
-                f"duplicate completion of shard {shard_index} in "
-                f"{self.directory}: the manifest already marks it complete. "
-                "Two writers are racing on the same checkpoint — run one "
-                "invocation at a time, or merge what is already there",
-                path=self.shard_path(shard_index),
-                hint="run one invocation at a time, or merge what is "
-                     "already there")
+            raise CheckpointError.about(
+                "shard file", self.shard_path(shard_index), "is already "
+                "marked complete (duplicate completion: two writers are "
+                "racing on the same checkpoint)",
+                "run one invocation at a time, or merge what is already there")
         path = self.shard_path(shard_index)
-        with open(path, "w", encoding="utf-8") as stream:
-            for count, (index, outcome) in enumerate(outcomes):
-                line = json.dumps({"kind": "outcome", "index": index,
-                                   "outcome": outcome.to_json_dict()},
-                                  sort_keys=True)
-                if torn_after is not None and count >= torn_after:
-                    # Write half a record with no newline — the exact
-                    # footprint of a process dying mid-``write`` — and stop
-                    # before the completion marker or the manifest flip.
-                    stream.write(line[:max(1, len(line) // 2)])
-                    stream.flush()
-                    os.fsync(stream.fileno())
-                    raise TornWriteError(
-                        f"shard file {path} write torn after {count} records "
-                        "(injected torn_checkpoint fault); the shard stays "
-                        "pending — resume re-runs and rewrites it",
-                        path=path,
-                        hint="resume the census; the pending shard is "
-                             "rewritten from scratch")
-                stream.write(line + "\n")
-            stream.write(json.dumps({"kind": "shard-complete",
-                                     "shard": shard_index,
-                                     "count": len(outcomes)}) + "\n")
-            stream.flush()
-            os.fsync(stream.fileno())
+        records = ({"kind": "outcome", "index": index,
+                    "outcome": outcome.to_json_dict()}
+                   for index, outcome in outcomes)
+        if not _SHARD.write(path, records, marker_fields={"shard": shard_index},
+                            torn_after=torn_after):
+            raise TornWriteError.about(
+                "shard file", path, f"write torn after {torn_after} records "
+                "(injected torn_checkpoint fault); the shard stays pending",
+                "resume the census; the pending shard is rewritten from "
+                "scratch")
         self.manifest["shards"][str(shard_index)] = SHARD_COMPLETE
         self._write_manifest()
 
@@ -535,113 +456,33 @@ class CensusCheckpoint:
                 different shard.
         """
         path = self.shard_path(shard_index)
-        if not path.exists():
-            raise CheckpointError(
-                f"shard file {path} is missing although the manifest marks "
-                f"shard {shard_index} complete; the checkpoint directory was "
-                "partially deleted — rerun the shard by resetting it to "
-                "pending in the manifest, or start a fresh checkpoint",
-                path=path,
-                hint="reset the shard to \"pending\" in the manifest, or "
-                     "start a fresh checkpoint")
-        raw = path.read_text(encoding="utf-8")
-        if raw and not raw.endswith("\n"):
-            raise CheckpointError(
-                f"shard file {path} ends in a truncated line (no trailing "
-                "newline): the writing process died mid-record. Delete the "
-                "file and set the shard back to \"pending\" in the manifest "
-                "(or start a fresh checkpoint) so resume re-runs it",
-                path=path,
-                hint="delete the file and set the shard back to \"pending\" "
-                     "in the manifest so resume re-runs it")
+        records, marker = _SHARD.read(
+            path, missing="re-run the missing shard: reset it to \"pending\" "
+            "in the manifest, or start a fresh checkpoint")
+        marked_shard = marker.get("shard")
+        if marked_shard is not None and marked_shard != shard_index:
+            raise CheckpointError.about(
+                "shard file", path, f"carries a completion marker for shard "
+                f"{marked_shard} (files were moved between checkpoints)",
+                "restore the original layout or start a fresh checkpoint")
         outcomes: list[tuple[int, ServerOutcome]] = []
         seen_indices: set[int] = set()
-        complete_count: int | None = None
-        for line_number, line in enumerate(raw.splitlines(), start=1):
+        for line_number, record in enumerate(records, start=1):
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise CheckpointError(
-                    f"shard file {path} line {line_number} is not valid JSON "
-                    f"({error}); the file is corrupt — delete it and set the "
-                    "shard back to \"pending\" in the manifest so resume "
-                    "re-runs it",
-                    path=path,
-                    hint="delete the file and set the shard back to "
-                         "\"pending\" in the manifest so resume re-runs "
-                         "it") from error
-            kind = record.get("kind") if isinstance(record, dict) else None
-            try:
-                if kind == "outcome":
-                    if complete_count is not None:
-                        raise CheckpointError(
-                            f"shard file {path} has outcome records after the "
-                            "shard-complete marker (two writers appended to the "
-                            "same shard); delete the file and re-run the shard",
-                            path=path,
-                            hint="delete the file and re-run the shard")
-                    index = int(record["index"])
-                    if index in seen_indices:
-                        raise CheckpointError(
-                            f"shard file {path} repeats population index {index} "
-                            f"(line {line_number}); the shard was written twice — "
-                            "delete the file and re-run the shard",
-                            path=path,
-                            hint="delete the file and re-run the shard")
-                    seen_indices.add(index)
-                    outcomes.append(
-                        (index, ServerOutcome.from_json_dict(record["outcome"])))
-                elif kind == "shard-complete":
-                    if complete_count is not None:
-                        raise CheckpointError(
-                            f"shard file {path} carries two shard-complete "
-                            "markers (duplicate shard completion); delete the "
-                            "file and re-run the shard",
-                            path=path,
-                            hint="delete the file and re-run the shard")
-                    marked_shard = record.get("shard")
-                    if marked_shard is not None and int(marked_shard) != shard_index:
-                        raise CheckpointError(
-                            f"shard file {path} carries a completion marker for "
-                            f"shard {marked_shard}; files were moved between "
-                            "checkpoints — restore the original layout or start "
-                            "a fresh checkpoint",
-                            path=path,
-                            hint="restore the original layout or start a "
-                                 "fresh checkpoint")
-                    complete_count = int(record["count"])
-                else:
-                    raise CheckpointError(
-                        f"shard file {path} line {line_number} has unknown record "
-                        f"kind {kind!r}; the checkpoint was written by an "
-                        "incompatible version — start a fresh checkpoint",
-                        path=path,
-                        hint="start a fresh checkpoint")
+                index = int(record["index"])
+                outcome = ServerOutcome.from_json_dict(record["outcome"])
             except (KeyError, TypeError, ValueError) as error:
-                raise CheckpointError(
-                    f"shard file {path} line {line_number} is structurally "
-                    f"invalid ({error!r}: missing or malformed field); the "
-                    "file is corrupt — delete it and set the shard back to "
-                    "\"pending\" in the manifest so resume re-runs it",
-                    path=path,
-                    hint="delete the file and set the shard back to "
-                         "\"pending\" in the manifest so resume re-runs "
-                         "it") from error
-        if complete_count is None:
-            raise CheckpointError(
-                f"shard file {path} has no shard-complete marker: the shard "
-                "never finished. Set it back to \"pending\" in the manifest "
-                "so resume re-runs it",
-                path=path,
-                hint="set the shard back to \"pending\" in the manifest so "
-                     "resume re-runs it")
-        if complete_count != len(outcomes):
-            raise CheckpointError(
-                f"shard file {path} records {len(outcomes)} outcomes but its "
-                f"completion marker expects {complete_count}; the file lost "
-                "lines — delete it and re-run the shard",
-                path=path,
-                hint="delete the file and re-run the shard")
+                raise CheckpointError.about(
+                    "shard file", path, f"line {line_number} is structurally "
+                    f"invalid ({error!r}: missing or malformed field)",
+                    _SHARD.hint) from error
+            if index in seen_indices:
+                raise CheckpointError.about(
+                    "shard file", path, f"repeats population index {index} "
+                    f"(line {line_number}): the shard was written twice",
+                    _SHARD.hint)
+            seen_indices.add(index)
+            outcomes.append((index, outcome))
         return outcomes
 
     def merge_report(self, expected_size: int | None = None) -> CensusReport:
@@ -664,32 +505,28 @@ class CensusCheckpoint:
         """
         pending = self.pending_shards()
         if pending:
-            raise CheckpointError(
-                f"cannot merge {self.directory}: shards {pending} are still "
-                "pending — resume the census first "
-                "(python -m repro.census resume)",
-                path=self.directory / MANIFEST_NAME,
-                hint="resume the census first (python -m repro.census resume)")
+            raise CheckpointError.about(
+                "checkpoint manifest", self.directory / MANIFEST_NAME,
+                f"cannot be merged: shards {pending} are still pending",
+                "resume the census first (python -m repro.census resume)")
         merged: dict[int, ServerOutcome] = {}
         for shard_index in range(self.num_shards):
             for index, outcome in self.load_shard(shard_index):
                 if index in merged:
-                    raise CheckpointError(
-                        f"population index {index} appears in more than one "
-                        f"shard of {self.directory}; the shard files are "
-                        "inconsistent — start a fresh checkpoint",
-                        path=self.shard_path(shard_index),
-                        hint="start a fresh checkpoint")
+                    raise CheckpointError.about(
+                        "shard file", self.shard_path(shard_index),
+                        f"repeats population index {index} of another shard "
+                        "(the shard files are inconsistent)",
+                        "start a fresh checkpoint")
                 merged[index] = outcome
         if expected_size is None:
             expected_size = self.manifest.get("population_size")
         if expected_size is not None and len(merged) != expected_size:
-            raise CheckpointError(
-                f"checkpoint {self.directory} merges {len(merged)} outcomes "
-                f"but the population has {expected_size} servers; shard files "
-                "are incomplete — re-run the missing shards",
-                path=self.directory / MANIFEST_NAME,
-                hint="re-run the missing shards")
+            raise CheckpointError.about(
+                "checkpoint manifest", self.directory / MANIFEST_NAME,
+                f"expects {expected_size} servers but its shards merge "
+                f"{len(merged)} outcomes (shard files are incomplete)",
+                "re-run the missing shards")
         report = CensusReport()
         for index in sorted(merged):
             report.add(merged[index])

@@ -23,8 +23,9 @@ reconstructed classifier's fingerprint
 recorded at save time. Equal fingerprints guarantee bit-identical
 classification, so serving from an artifact is byte-identical to
 retrain-and-run. Corruption fails loudly with a structured
-:class:`ModelArtifactError` (mirroring the checkpoint layer's
-:class:`~repro.core.checkpoint.CheckpointError`), never silently.
+:class:`ModelArtifactError` (a :class:`~repro.store.StoreError`, like every
+store's error), never silently. Saving goes through the shared atomic
+writer (:func:`~repro.store.write_bytes_atomic`).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from repro.core.classifier import CaaiClassifier
 from repro.core.features import FeatureExtractor
 from repro.ml.decision_tree import DecisionTreeClassifier, FlatTree
 from repro.ml.random_forest import RandomForestClassifier
+from repro.store import StoreError, write_bytes_atomic
 
 #: Magic token opening every artifact file.
 MODEL_ARTIFACT_MAGIC = "CAAI-MODEL"
@@ -72,35 +74,17 @@ _MEMORY_DTYPES = {
 }
 
 
-class ModelArtifactError(RuntimeError):
-    """A model artifact is missing, corrupt, truncated, or version-skewed.
-
-    Besides the human-readable message, carries structured context so
-    callers (the CLI, the serving loop) can point at the offending file and
-    print a one-line recovery hint without parsing the message text.
-
-    Attributes:
-        path: The artifact file the error is about (``None`` when not
-            file-specific).
-        hint: One-line recovery suggestion (``None`` when the message is
-            self-contained).
-    """
-
-    def __init__(self, message: str, *, path: str | Path | None = None,
-                 hint: str | None = None):
-        """Build the error with optional structured context.
-
-        Args:
-            message: The full human-readable description.
-            path: The offending file, when one is identifiable.
-            hint: One-line recovery suggestion.
-        """
-        super().__init__(message)
-        self.path = Path(path) if path is not None else None
-        self.hint = hint
+class ModelArtifactError(StoreError):
+    """A model artifact is missing, corrupt, truncated, or version-skewed."""
 
 
 _REFIT_HINT = "re-fit the artifact (python -m repro.model fit)"
+
+
+def _damaged(path: Path, detail: str) -> ModelArtifactError:
+    """The error for a damaged artifact file: re-fitting is the fix."""
+    return ModelArtifactError.about("model artifact", path, detail,
+                                    _REFIT_HINT)
 
 
 def save_model(classifier: CaaiClassifier, path: str | Path, *,
@@ -170,15 +154,9 @@ def save_model(classifier: CaaiClassifier, path: str | Path, *,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     path.parent.mkdir(parents=True, exist_ok=True)
-    temp = path.with_suffix(path.suffix + ".tmp")
-    with open(temp, "wb") as stream:
-        stream.write(f"{MODEL_ARTIFACT_MAGIC} v{MODEL_ARTIFACT_VERSION}\n"
-                     .encode("ascii"))
-        stream.write(f"{len(header_bytes)}\n".encode("ascii"))
-        stream.write(header_bytes)
-        stream.write(payload)
-        stream.flush()
-    temp.replace(path)
+    preamble = (f"{MODEL_ARTIFACT_MAGIC} v{MODEL_ARTIFACT_VERSION}\n"
+                f"{len(header_bytes)}\n").encode("ascii")
+    write_bytes_atomic(path, preamble + header_bytes + payload)
     return header
 
 
@@ -206,12 +184,9 @@ def load_model(path: str | Path) -> CaaiClassifier:
     fingerprint = classifier_fingerprint(classifier)
     recorded = header.get("fingerprint")
     if fingerprint != recorded:
-        raise ModelArtifactError(
-            f"model artifact {path} is internally inconsistent: the "
-            f"reconstructed classifier fingerprints as {fingerprint} but the "
-            f"artifact records {recorded}. The file was altered after it was "
-            f"written — {_REFIT_HINT}",
-            path=path, hint=_REFIT_HINT)
+        raise _damaged(path, "is internally inconsistent: the reconstructed "
+                       f"classifier fingerprints as {fingerprint} but the "
+                       f"artifact records {recorded} (altered after save)")
     return classifier
 
 
@@ -288,34 +263,24 @@ def _read_container(path: Path) -> tuple[dict, bytes]:
             hint="point --artifact at a file written by python -m repro.model")
     version = parts[1].lstrip("v")
     if not version.isdigit() or int(version) != MODEL_ARTIFACT_VERSION:
-        raise ModelArtifactError(
-            f"model artifact {path} has format version {parts[1]!r}, this "
-            f"code reads version v{MODEL_ARTIFACT_VERSION}; re-fit the "
-            "artifact with this version of the code",
-            path=path,
-            hint="re-fit the artifact with this version of the code")
+        raise ModelArtifactError.about(
+            "model artifact", path, f"has format version {parts[1]!r}, this "
+            f"code reads version v{MODEL_ARTIFACT_VERSION}",
+            "re-fit the artifact with this version of the code")
     length_end = raw.find(b"\n", magic_end + 1)
     length_text = raw[magic_end + 1:length_end] if length_end > 0 else b""
     if not length_text.isdigit():
-        raise ModelArtifactError(
-            f"model artifact {path} has a corrupt header-length line "
-            f"({length_text!r}); the file is damaged — {_REFIT_HINT}",
-            path=path, hint=_REFIT_HINT)
+        raise _damaged(path, "has a corrupt header-length line "
+                       f"({length_text!r})")
     header_start = length_end + 1
     header_end = header_start + int(length_text)
     if len(raw) < header_end:
-        raise ModelArtifactError(
-            f"model artifact {path} is truncated inside its header "
-            f"(need {header_end} bytes, file has {len(raw)}); the save was "
-            f"cut short — {_REFIT_HINT}",
-            path=path, hint=_REFIT_HINT)
+        raise _damaged(path, "is truncated inside its header (need "
+                       f"{header_end} bytes, file has {len(raw)})")
     try:
         header = json.loads(raw[header_start:header_end].decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as error:
-        raise ModelArtifactError(
-            f"model artifact {path} has an unparsable header ({error}); the "
-            f"file is damaged — {_REFIT_HINT}",
-            path=path, hint=_REFIT_HINT) from error
+        raise _damaged(path, f"has an unparsable header ({error})") from error
     payload = raw[header_end:]
     try:
         expected_nbytes = int(header["payload_nbytes"])
@@ -323,29 +288,20 @@ def _read_container(path: Path) -> tuple[dict, bytes]:
         header["format"], header["fingerprint"], header["classes"]
         header["classifier"], header["extractor"], header["trees"]
     except (KeyError, TypeError, ValueError) as error:
-        raise ModelArtifactError(
-            f"model artifact {path} header is missing required fields "
-            f"({error!r}); the file is damaged — {_REFIT_HINT}",
-            path=path, hint=_REFIT_HINT) from error
+        raise _damaged(path, "header is missing required fields "
+                       f"({error!r})") from error
     if len(payload) < expected_nbytes:
-        raise ModelArtifactError(
-            f"model artifact {path} is truncated: the header declares "
-            f"{expected_nbytes} payload bytes but only {len(payload)} are "
-            f"present. The save was cut short — {_REFIT_HINT}",
-            path=path, hint=_REFIT_HINT)
+        raise _damaged(path, f"is truncated: the header declares "
+                       f"{expected_nbytes} payload bytes but only "
+                       f"{len(payload)} are present")
     if len(payload) > expected_nbytes:
-        raise ModelArtifactError(
-            f"model artifact {path} carries {len(payload) - expected_nbytes} "
-            f"bytes of trailing garbage after the declared payload; the file "
-            f"was appended to — {_REFIT_HINT}",
-            path=path, hint=_REFIT_HINT)
+        raise _damaged(path, f"carries {len(payload) - expected_nbytes} "
+                       "bytes of trailing garbage after the declared payload")
     digest = hashlib.sha256(payload).hexdigest()
     if digest != expected_sha:
-        raise ModelArtifactError(
-            f"model artifact {path} payload checksum mismatch (stored "
-            f"{expected_sha}, computed {digest}); the node tables were "
-            f"tampered with or bit-rotted — {_REFIT_HINT}",
-            path=path, hint=_REFIT_HINT)
+        raise _damaged(path, f"payload checksum mismatch (stored "
+                       f"{expected_sha}, computed {digest}): the node tables "
+                       "were tampered with or bit-rotted")
     return header, payload
 
 
@@ -379,7 +335,5 @@ def _reconstruct(header: dict, payload: bytes, path: Path) -> CaaiClassifier:
     except ModelArtifactError:
         raise
     except (KeyError, TypeError, ValueError) as error:
-        raise ModelArtifactError(
-            f"model artifact {path} header describes an invalid forest "
-            f"({error!r}); the file is damaged — {_REFIT_HINT}",
-            path=path, hint=_REFIT_HINT) from error
+        raise _damaged(path, "header describes an invalid forest "
+                       f"({error!r})") from error

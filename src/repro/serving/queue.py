@@ -25,21 +25,21 @@ Lease algebra:
   bit-identical.
 
 The queue state is persisted as ``queue.json`` next to the checkpoint
-manifest after every mutation (atomic write + rename), so an interrupted
-serving process leaves its leases on disk: a restart sees them, waits out
-the lease timeout (or is told to reclaim), steals, and resumes — merging
-bit-identically to a run that was never interrupted.
+manifest after every mutation (the atomic write of :mod:`repro.store`), so
+an interrupted serving process leaves its leases on disk: a restart sees
+them, waits out the lease timeout (or is told to reclaim), steals, and
+resumes — merging bit-identically to a run that was never interrupted.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core.checkpoint import CensusCheckpoint, write_json_atomic
+from repro.core.checkpoint import CensusCheckpoint
+from repro.store import DocumentFormat, StoreError, write_json_atomic
 
 #: Queue state file, stored inside the checkpoint directory.
 QUEUE_NAME = "queue.json"
@@ -51,26 +51,14 @@ QUEUE_FORMAT_VERSION = 1
 DEFAULT_LEASE_TIMEOUT = 30.0
 
 
-class WorkQueueError(RuntimeError):
-    """The queue state file is corrupt or from an incompatible version.
+class WorkQueueError(StoreError):
+    """The queue state file is corrupt or from an incompatible version."""
 
-    Attributes:
-        path: The offending file (``None`` when not file-specific).
-        hint: One-line recovery suggestion.
-    """
 
-    def __init__(self, message: str, *, path: str | Path | None = None,
-                 hint: str | None = None):
-        """Build the error with optional structured context.
-
-        Args:
-            message: The full human-readable description.
-            path: The offending file, when one is identifiable.
-            hint: One-line recovery suggestion.
-        """
-        super().__init__(message)
-        self.path = Path(path) if path is not None else None
-        self.hint = hint
+#: The queue state: a versioned JSON document holding the lease table.
+_STATE = DocumentFormat("work-queue state", QUEUE_FORMAT_VERSION,
+                        WorkQueueError,
+                        hint="delete queue.json; the manifest is authoritative")
 
 
 @dataclass(frozen=True)
@@ -305,32 +293,9 @@ class WorkQueue:
         write_json_atomic(self.path, self._state)
 
     def _load_state(self) -> dict:
-        path = self.path
-        if not path.exists():
-            return {"format": QUEUE_FORMAT_VERSION, "leases": {}}
-        try:
-            state = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as error:
-            raise WorkQueueError(
-                f"work-queue state {path} is not valid JSON ({error}); "
-                "delete the file — the checkpoint manifest is authoritative "
-                "and the queue rebuilds from it",
-                path=path,
-                hint="delete queue.json; the manifest is authoritative"
-            ) from error
-        if state.get("format") != QUEUE_FORMAT_VERSION:
-            raise WorkQueueError(
-                f"work-queue state {path} has format version "
-                f"{state.get('format')!r}, this code reads version "
-                f"{QUEUE_FORMAT_VERSION}; delete the file — the checkpoint "
-                "manifest is authoritative and the queue rebuilds from it",
-                path=path,
-                hint="delete queue.json; the manifest is authoritative")
+        state = _STATE.read(self.path) or {"format": QUEUE_FORMAT_VERSION,
+                                           "leases": {}}
         if not isinstance(state.get("leases"), dict):
-            raise WorkQueueError(
-                f"work-queue state {path} has no lease table; delete the "
-                "file — the checkpoint manifest is authoritative and the "
-                "queue rebuilds from it",
-                path=path,
-                hint="delete queue.json; the manifest is authoritative")
+            raise WorkQueueError.about(_STATE.noun, self.path,
+                                       "has no lease table", _STATE.hint)
         return state

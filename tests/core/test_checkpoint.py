@@ -201,6 +201,15 @@ class TestErrorContext:
         assert excinfo.value.path is not None
         assert excinfo.value.path.name == "manifest.json"
         assert "sharded census" in excinfo.value.hint
+        # Valid JSON that is not an object is corrupt, not an AttributeError.
+        directory = tmp_path / "ckpt"
+        directory.mkdir()
+        for text in ("[]", '"x"', "[1]"):
+            (directory / "manifest.json").write_text(text)
+            with pytest.raises(CheckpointError, match="not an object") as excinfo:
+                CensusCheckpoint.open(directory)
+            assert excinfo.value.path == directory / "manifest.json"
+            assert "fresh checkpoint" in excinfo.value.hint
 
     def test_duplicate_completion_carries_context(self, completed_checkpoint,
                                                   tmp_path):

@@ -135,6 +135,16 @@ class TestCli:
                      "--output", str(tmp_path / "out.md")]) == 2
         assert "no artifact" in capsys.readouterr().err
 
+    def test_corrupt_manifest_is_an_error_with_a_hint(self, tmp_path, capsys):
+        manifest = tmp_path / "artifacts" / "smoke" / "manifest.json"
+        manifest.parent.mkdir(parents=True)
+        manifest.write_text("{broken")
+        assert main(["status", "--profile", "smoke",
+                     "--artifacts", str(tmp_path / "artifacts")]) == 2
+        err = capsys.readouterr().err
+        assert "not valid JSON" in err
+        assert "hint: delete the artifact directory" in err
+
     def test_unknown_experiment_is_an_error(self, tmp_path, capsys):
         assert main(["run", "--only", "fig99",
                      "--artifacts", str(tmp_path / "a")]) == 2

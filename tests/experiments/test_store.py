@@ -85,6 +85,10 @@ class TestCorruption:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ArtifactError, match="not valid JSON"):
             store.load("exp")
+        path.write_bytes(b"\xff\xfe binary garbage\n")
+        with pytest.raises(ArtifactError, match="not UTF-8"):
+            store.load("exp")
+        assert not store.is_current("exp", "fp1")
 
     def test_missing_complete_marker(self, store):
         store.write("exp", "fp1", PAYLOAD)
@@ -102,6 +106,15 @@ class TestCorruption:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ArtifactError, match="lost lines"):
             store.load("exp")
+        # A count that is not an integer is corrupt too, and never current.
+        for entries in ("1", None, 1.0, True):
+            lines[-1] = json.dumps({"kind": "complete", "entries": entries})
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ArtifactError, match="malformed") as excinfo:
+                store.load("exp")
+            assert excinfo.value.path == path
+            assert excinfo.value.hint
+            assert not store.is_current("exp", "fp1")
 
     def test_duplicate_entry_key(self, store):
         store.write("exp", "fp1", {"a": 1})
@@ -128,6 +141,14 @@ class TestCorruption:
         reopened = ArtifactStore(tmp_path / "smoke", "smoke")
         with pytest.raises(ArtifactError, match="not valid JSON"):
             reopened.manifest()
+        # Valid JSON that is not an object is corrupt, not an AttributeError.
+        for text in ("[]", '"x"', "[1]"):
+            store.manifest_path.write_text(text)
+            reopened = ArtifactStore(tmp_path / "smoke", "smoke")
+            with pytest.raises(ArtifactError, match="not an object") as excinfo:
+                reopened.manifest()
+            assert excinfo.value.path == store.manifest_path
+            assert "delete the artifact directory" in excinfo.value.hint
 
     def test_profile_mismatch(self, store, tmp_path):
         store.write("exp", "fp1", PAYLOAD)

@@ -10,6 +10,8 @@ hashes the raw node tables.
 """
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -81,6 +83,23 @@ class TestRoundTrip:
         loaded, seconds = timed_load(artifact)
         assert loaded.is_trained
         assert seconds > 0
+
+    def test_save_fsyncs_the_file_then_the_directory(self, classifier,
+                                                      tmp_path, monkeypatch):
+        path = tmp_path / "model.caai"
+        synced = []  # (fsynced a directory?, final file present yet?)
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            synced.append((stat.S_ISDIR(os.fstat(fd).st_mode), path.exists()))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        save_model(classifier, path)
+        # The temp file is durable before the rename, the rename after it.
+        assert synced == [(False, False), (True, True)]
+        assert list(tmp_path.iterdir()) == [path]
+        assert load_model(path).is_trained
 
     def test_save_requires_a_trained_classifier(self, tmp_path):
         with pytest.raises(ModelArtifactError, match="untrained"):

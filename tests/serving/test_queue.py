@@ -176,6 +176,10 @@ class TestCorruption:
     def test_invalid_json(self, checkpoint):
         (checkpoint.directory / QUEUE_NAME).write_text("{not json")
         self._expect_error(checkpoint, match="not valid JSON")
+        # Valid JSON that is not an object is corrupt, not an AttributeError.
+        for text in ("[]", '"x"', "[1]"):
+            (checkpoint.directory / QUEUE_NAME).write_text(text)
+            self._expect_error(checkpoint, match="not an object")
 
     def test_version_skew(self, checkpoint):
         (checkpoint.directory / QUEUE_NAME).write_text(json.dumps(
