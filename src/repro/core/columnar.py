@@ -28,7 +28,8 @@ of new data. Everything else runs on the real objects:
   burst again. Divergence therefore costs one scalar round, not the trace
   twice over;
 * non-registry algorithms and quirky server profiles are rejected at
-  admission and run whole probes on the historic scalar path; as a safety
+  admission (counted per reason in ``ColumnarStats.rejects_by_reason``) and
+  run whole probes on the segment-block engine; as a safety
   net, a mid-round surprise from a trusted batch hook *ejects* the session —
   the rng stream is rewound to the snapshot taken at trace start and the
   whole trace is replayed by the scalar
@@ -209,9 +210,14 @@ class ColumnarStats:
     ejected_traces: int = 0
     admission_rejects: int = 0
     scalar_probes: int = 0
+    rejects_by_reason: dict = field(default_factory=dict)
     ejects_by_reason: dict = field(default_factory=dict)
     kernel_seconds: float = 0.0
     scalar_seconds: float = 0.0
+
+    def note_reject(self, reason: str) -> None:
+        self.admission_rejects += 1
+        self.rejects_by_reason[reason] = self.rejects_by_reason.get(reason, 0) + 1
 
     def note_eject(self, reason: str) -> None:
         self.ejected_traces += 1
@@ -238,6 +244,7 @@ class ColumnarStats:
             "ejected_traces": self.ejected_traces,
             "eject_rate": round(self.eject_rate, 4),
             "admission_rejects": self.admission_rejects,
+            "rejects_by_reason": dict(sorted(self.rejects_by_reason.items())),
             "scalar_probes": self.scalar_probes,
             "ejects_by_reason": dict(sorted(self.ejects_by_reason.items())),
             "kernel_seconds": round(self.kernel_seconds, 4),
@@ -260,32 +267,53 @@ def server_admissible(server: ProbeableServer) -> bool:
     return isinstance(server, (SyntheticServer, WebServer))
 
 
-def sender_admissible(sender: TcpSender) -> bool:
-    """Whether a freshly opened sender can run on the columnar clean path.
+def admission_reject_reason(sender: TcpSender) -> str | None:
+    """Why a freshly opened sender cannot run on the columnar clean path.
 
     Mirrors (and tightens) ``TcpSender._run_eligible``: the kernels replicate
     the trusted decoupled batch hooks over the standard slow start, so
-    anything outside that envelope — overridden slow start, untrusted or
-    coupled batch hooks, window quirks, non-default estimator constants, a
-    scalar reference sender (``REPRO_ACK_BATCH=0``) — is rejected up front
-    and the trace runs on the scalar engine instead.
+    anything outside that envelope is rejected up front and the trace runs
+    on the block engine instead. The reason is the first failing check:
+    ``reference-tier`` (``REPRO_ACK_BATCH=0``), a window quirk
+    (``approach-ceiling``, ``freeze``, ``post-timeout-stall``,
+    ``moderation``), ``no-kernel``, ``coupled-hook`` (untrusted or coupled
+    batch hooks), ``slow-start-policy`` (overridden or non-standard slow
+    start) or ``estimator`` (non-default RTO estimator constants).
+
+    Returns:
+        ``None`` when the sender is admissible, else the reason.
     """
     config = sender.config
     estimator = sender.rto
-    return (sender._blocks_native
-            and sender._batch_decoupled
-            and sender._alg_uses_policy_ss
-            and type(sender.slow_start_policy) is StandardSlowStart
-            and has_kernel(sender.algorithm)
-            and config.approach_ceiling is None
-            and not config.use_cwnd_moderation
-            and not config.freeze_in_avoidance
-            and not config.post_timeout_stall
-            and estimator.alpha == 0.125
+    if not sender._blocks_native:
+        return "reference-tier"
+    if config.approach_ceiling is not None:
+        return "approach-ceiling"
+    if config.freeze_in_avoidance:
+        return "freeze"
+    if config.post_timeout_stall:
+        return "post-timeout-stall"
+    if config.use_cwnd_moderation:
+        return "moderation"
+    if not has_kernel(sender.algorithm):
+        return "no-kernel"
+    if not sender._batch_decoupled:
+        return "coupled-hook"
+    if not (sender._alg_uses_policy_ss
+            and type(sender.slow_start_policy) is StandardSlowStart):
+        return "slow-start-policy"
+    if not (estimator.alpha == 0.125
             and estimator.beta == 0.25
             and estimator.min_rto == DEFAULT_MIN_RTO
             and estimator.max_rto == DEFAULT_MAX_RTO
-            and estimator.min_variance_term == DEFAULT_MIN_VARIANCE_TERM)
+            and estimator.min_variance_term == DEFAULT_MIN_VARIANCE_TERM):
+        return "estimator"
+    return None
+
+
+def sender_admissible(sender: TcpSender) -> bool:
+    """Whether :func:`admission_reject_reason` finds nothing to reject."""
+    return admission_reject_reason(sender) is None
 
 
 def _slow_start_run(cwnd: float, ssthresh: float, count: int) -> tuple[int, float]:
@@ -453,10 +481,11 @@ class _LaneRunner:
             self._finish(WindowTrace.invalid(env.name, config.w_timeout,
                                              config.mss, InvalidReason.CONNECTION_FAILED))
             return
-        if not sender_admissible(sender):
+        reject = admission_reject_reason(sender)
+        if reject is not None:
             # No rng consumed yet: reuse the already-open sender on the
             # scalar path (single open, exactly the historic flow).
-            self.engine.stats.admission_rejects += 1
+            self.engine.stats.note_reject(reject)
             began = time.perf_counter()
             trace = self.gatherer._run_probe(sender, job.server, env,
                                              job.condition, job.rng, self.start_time)

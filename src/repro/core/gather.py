@@ -610,13 +610,16 @@ class TraceGatherer:
 
 
 def _surviving_stretches(mask: np.ndarray) -> list[tuple[int, int]]:
-    """``(first_offset, length)`` of each maximal True stretch in ``mask``."""
-    survivors = np.flatnonzero(mask)
-    if survivors.size == 0:
-        return []
-    breaks = np.flatnonzero(np.diff(survivors) > 1) + 1
-    return [(int(chunk[0]), int(chunk.size))
-            for chunk in np.split(survivors, breaks)]
+    """``(first_offset, length)`` of each maximal True stretch in ``mask``.
+
+    The False-padded mask changes value exactly at the stretch edges, which
+    alternate start, stop, start, stop, ...
+    """
+    padded = np.zeros(mask.size + 2, dtype=bool)
+    padded[1:-1] = mask
+    edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
+    return [(start, stop - start)
+            for start, stop in zip(edges[0::2], edges[1::2])]
 
 
 def _filter_ack_runs(runs: list[tuple], dropped: np.ndarray) -> list[tuple]:

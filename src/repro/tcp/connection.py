@@ -63,6 +63,21 @@ def _defined_below(alg_type: type, attribute: str, anchor: type) -> bool:
             and issubclass(defining, anchor))
 
 
+def _approach_ceiling_cap(cwnd: float, ceiling: float, gain: float) -> float:
+    """The window after the "Approaching w_timeout" quirk's per-ACK cap.
+
+    Near ``ceiling`` the window only ever closes the fraction ``gain`` of
+    its remaining distance to it, which produces the paper's asymptotic
+    trace shape (Section VII-B3); further away it is left alone.
+    """
+    gap = ceiling - cwnd
+    if gap < ceiling * 0.5:
+        bound = ceiling - max(gap, 0.0) * (1.0 - gain)
+        if bound < cwnd:
+            return bound
+    return cwnd
+
+
 def _batch_override_consistent(alg_type: type) -> bool:
     """Whether the class's batch hook was written for its scalar growth rule.
 
@@ -464,17 +479,25 @@ class TcpSender:
 
     # ------------------------------------------------------- batched fast path
     def _run_eligible(self) -> bool:
-        """Cheap config/state screening before the per-run checks."""
+        """Cheap config/state screening before the per-run checks.
+
+        The ``approach_ceiling`` and ``freeze_in_avoidance`` quirks batch
+        (through :meth:`_run_interleaved`); cwnd moderation and the
+        post-timeout stall keep every ACK on the per-ACK engine.
+        """
         config = self.config
         return (self._blocks_native
                 and self._started
                 and not self._in_recovery
                 and not self._frto_state
-                and config.approach_ceiling is None
                 and not config.use_cwnd_moderation
-                and not config.freeze_in_avoidance
                 and not (config.post_timeout_stall and self._had_timeout)
                 and self._round_end > self._snd_una)
+
+    def _has_growth_quirk(self) -> bool:
+        """Whether a quirk reshapes the per-ACK growth (ceiling or freeze)."""
+        config = self.config
+        return config.approach_ceiling is not None or config.freeze_in_avoidance
 
     def _fast_packet_run(self, first: int, count: int,
                          now: float) -> tuple[int, list]:
@@ -491,7 +514,11 @@ class TcpSender:
         u0 = self._snd_una
         if first <= u0:
             return 0, []
-        if first != u0 + 1 and not self._batch_decoupled:
+        if first != u0 + 1 and (not self._batch_decoupled
+                                or self._has_growth_quirk()):
+            # Coupled hooks read a multi-packet first advance; under a
+            # growth quirk the batch's after-the-fact ``extra_acked`` tally
+            # would be wrong (a frozen ACK ticks nothing).
             return 0, []
         k = count
         room = self._round_end - first + 1
@@ -540,7 +567,7 @@ class TcpSender:
         send_buffer = self.config.send_buffer_packets
 
         def eff_int(cwnd: float) -> int:
-            """``int(self.effective_window())`` with the quirks excluded."""
+            """``int(self.effective_window())``; stalled senders never batch."""
             window = cwnd
             if window > rwnd_packets:
                 window = rwnd_packets
@@ -549,7 +576,8 @@ class TcpSender:
             return int(window)
 
         snd_nxt0 = self._snd_nxt
-        if rtt is not None and not self._batch_decoupled:
+        if ((rtt is not None and not self._batch_decoupled)
+                or self._has_growth_quirk()):
             cap_max = self._run_interleaved(u0, k, ctx, rtt, now, eff_int)
         else:
             # Decoupled flow: register the (identical) RTT samples once, then
@@ -574,14 +602,14 @@ class TcpSender:
             state.acked_in_round += extra_acked
 
         if last == self._round_end:
-            # The run closes the round: replicate _maybe_complete_round (the
-            # quirk suppressions were excluded by eligibility).
+            # The run closes the round: replicate _maybe_complete_round.
             state.last_round_rtt = rtt or state.latest_rtt
             round_ctx = AckContext(now=now, rtt_sample=rtt,
                                    newly_acked_packets=0, round_completed=True)
             if not state.in_slow_start():
                 state.avoidance_rounds += 1
-            self.algorithm.on_round_complete(state, round_ctx)
+            if not self._round_hook_suppressed():
+                self.algorithm.on_round_complete(state, round_ctx)
             state.acked_in_round = 0
             self._round_start_time = now
         state.clamp()
@@ -686,16 +714,18 @@ class TcpSender:
             consumed += 1
         return consumed
 
-    def _run_interleaved(self, u0: int, k: int, ctx: AckContext, rtt: float,
-                         now: float, eff_int) -> int:
-        """Per-ACK registration + growth for non-decoupled algorithms.
+    def _run_interleaved(self, u0: int, k: int, ctx: AckContext,
+                         rtt: float | None, now: float, eff_int) -> int:
+        """Per-ACK registration + growth, batched around the growth.
 
         Keeps the scalar engine's exact interleaving (observe sample, update
-        RTT state, grow) for algorithms whose growth hooks read the evolving
-        ``srtt`` (Westwood+'s idle detector), while still batching everything
-        around the growth. Returns the largest cap over the first ``k - 1``
-        ACKs (the final ACK's cap is computed by the caller after round
-        completion).
+        RTT state, grow, quirk cap) for algorithms whose growth hooks read
+        the evolving ``srtt`` (Westwood+'s idle detector) and for senders
+        whose quirks reshape every ACK's growth: ``approach_ceiling`` caps
+        the window after each ACK, ``freeze_in_avoidance`` skips avoidance
+        growth and its round tally. Returns the largest cap over the first
+        ``k - 1`` ACKs (the final ACK's cap is computed by the caller after
+        round completion).
         """
         state = self.state
         algorithm = self.algorithm
@@ -703,16 +733,21 @@ class TcpSender:
         rto = self.rto
         observe = rto.observe
         uses_policy = self._alg_uses_policy_ss
+        config = self.config
+        ceiling = config.approach_ceiling
+        gain = config.approach_gain
+        freeze = config.freeze_in_avoidance
         cap_max = 0
         last = k - 1
         for i in range(k):
-            observe(rtt)
-            state.latest_rtt = rtt
-            state.srtt = rto.srtt
-            if rtt < state.min_rtt:
-                state.min_rtt = rtt
-            if rtt > state.max_rtt:
-                state.max_rtt = rtt
+            if rtt is not None:
+                observe(rtt)
+                state.latest_rtt = rtt
+                state.srtt = rto.srtt
+                if rtt < state.min_rtt:
+                    state.min_rtt = rtt
+                if rtt > state.max_rtt:
+                    state.max_rtt = rtt
             if state.in_slow_start():
                 if (self._round_start_time is not None
                         and state.acked_in_round == 0
@@ -728,9 +763,16 @@ class TcpSender:
                     upper = ssthresh if ssthresh >= before else before
                     if state.cwnd > upper:
                         state.cwnd = upper
-            else:
+                state.acked_in_round += 1
+            elif not freeze:
                 algorithm.on_ack_avoidance(state, ctx)
-            state.acked_in_round += 1
+                state.acked_in_round += 1
+            if ceiling is not None and state.cwnd > 0:
+                state.cwnd = _approach_ceiling_cap(state.cwnd, ceiling, gain)
+                if i < last and state.cwnd < MIN_CWND:
+                    # The scalar engine clamps after every ACK, and a
+                    # ceiling below the floor pulls the window under it.
+                    state.cwnd = MIN_CWND
             if i < last:
                 cap = (u0 + i + 1) + eff_int(state.cwnd)
                 if cap > cap_max:
@@ -968,12 +1010,14 @@ class TcpSender:
     def _apply_quirk_caps(self) -> None:
         ceiling = self.config.approach_ceiling
         if ceiling is not None and self.state.cwnd > 0:
-            # The window only ever closes a fraction of its distance to the
-            # ceiling, producing the "Approaching w_timeout" trace shape.
-            gap = ceiling - self.state.cwnd
-            if gap < ceiling * 0.5:
-                self.state.cwnd = min(self.state.cwnd,
-                                      ceiling - max(gap, 0.0) * (1.0 - self.config.approach_gain))
+            self.state.cwnd = _approach_ceiling_cap(
+                self.state.cwnd, ceiling, self.config.approach_gain)
+
+    def _round_hook_suppressed(self) -> bool:
+        """Whether the quirks suppress ``on_round_complete`` (freeze, stall)."""
+        config = self.config
+        return config.freeze_in_avoidance or (
+            config.post_timeout_stall and self._had_timeout)
 
     def _maybe_complete_round(self, rtt_sample: float | None, now: float) -> None:
         if self._snd_una < self._round_end or self._round_end == 0:
@@ -985,8 +1029,7 @@ class TcpSender:
             self.state.avoidance_rounds += 1
         # Delay-based algorithms sample the path once per round even during
         # slow start (e.g. Westwood's bandwidth filter, Vegas' early exit).
-        if not self.config.freeze_in_avoidance and not (
-                self.config.post_timeout_stall and self._had_timeout):
+        if not self._round_hook_suppressed():
             self.algorithm.on_round_complete(self.state, ctx)
         self.state.acked_in_round = 0
         self._round_start_time = now

@@ -14,7 +14,8 @@ The corpus is a pure function of ``(count, master_seed)`` — no wall clock,
 no global state — so the committed ``differential_corpus.json`` can be
 regenerated and byte-compared by a test (drift in the generator is caught
 immediately), and ``pytest --fuzz N`` can draw fresh cases beyond the
-committed set from any ``--fuzz-seed``.
+committed set from any ``--fuzz-seed``. The corpus is a base draw plus a
+block of server-quirk cases from a separate seed (:func:`committed_corpus`).
 """
 
 from __future__ import annotations
@@ -48,13 +49,26 @@ _TIER_KNOBS = {
 #: Seed of the committed corpus (see ``differential_corpus.json``).
 CORPUS_SEED = 20110621  # the source paper's conference date
 
-#: Size of the committed corpus.
+#: Size of the committed corpus's base draw (cases ``0 .. CORPUS_SIZE - 1``).
 CORPUS_SIZE = 200
+
+#: Seed and size of the growth-quirk cases appended after the base draw:
+#: a separate stream, so the base cases stay byte-unchanged.
+QUIRK_CORPUS_SEED = 72011
+QUIRK_CORPUS_SIZE = 30
+
+#: Share of ``--fuzz`` cases that carry a server quirk.
+FUZZ_QUIRK_SHARE = 0.25
+
+#: The server quirks a case may carry (``SenderConfig`` fields in
+#: :func:`_draw_quirk`).
+QUIRK_KINDS = ("freeze", "ceiling", "ceiling+freeze", "stall")
 
 CORPUS_PATH = pathlib.Path(__file__).parent / "differential_corpus.json"
 
 
-def build_corpus(count: int, master_seed: int) -> list[dict]:
+def build_corpus(count: int, master_seed: int, *,
+                 quirk_share: float = 0.0) -> list[dict]:
     """Draw ``count`` differential cases, purely from ``master_seed``.
 
     Every registry algorithm appears at least ``count // len(registry)``
@@ -66,6 +80,9 @@ def build_corpus(count: int, master_seed: int) -> list[dict]:
     Args:
         count: Number of cases to draw.
         master_seed: Seed of the case-drawing stream.
+        quirk_share: Probability that a case also carries one of
+            :data:`QUIRK_KINDS`. At ``0`` no extra draw is made, so the
+            stream (and the committed base cases) match the historic one.
 
     Returns:
         JSON-native case dicts accepted by :func:`run_tier`.
@@ -90,8 +107,35 @@ def build_corpus(count: int, master_seed: int) -> list[dict]:
         if rng.random() < 0.2:
             case["send_buffer_packets"] = round(float(rng.uniform(60.0,
                                                                   120.0)), 2)
+        if quirk_share and rng.random() < quirk_share:
+            _draw_quirk(case, rng)
         cases.append(case)
     return cases
+
+
+def _draw_quirk(case: dict, rng: np.random.Generator) -> None:
+    """Add one of :data:`QUIRK_KINDS` to ``case`` (the ceiling sits at
+    0.8-1.6x ``w_timeout``, so the window approaches it within the probe)."""
+    kind = QUIRK_KINDS[int(rng.integers(len(QUIRK_KINDS)))]
+    if "freeze" in kind:
+        case["freeze_in_avoidance"] = True
+    if "ceiling" in kind:
+        case["approach_ceiling"] = round(
+            float(rng.uniform(0.8, 1.6)) * case["w_timeout"], 2)
+    if kind == "stall":
+        case["post_timeout_stall"] = True
+
+
+def committed_corpus() -> list[dict]:
+    """The committed corpus: the base draw, then the growth-quirk cases.
+
+    Returns:
+        ``build_corpus(CORPUS_SIZE, CORPUS_SEED)`` followed by
+        ``QUIRK_CORPUS_SIZE`` cases that all carry a quirk.
+    """
+    return (build_corpus(CORPUS_SIZE, CORPUS_SEED)
+            + build_corpus(QUIRK_CORPUS_SIZE, QUIRK_CORPUS_SEED,
+                           quirk_share=1.0))
 
 
 def load_corpus() -> list[dict]:
@@ -120,7 +164,9 @@ def tier_environment(tier: str):
 
 def _build_server(case: dict):
     sender_kwargs = {}
-    for field in ("initial_ssthresh", "send_buffer_packets"):
+    for field in ("initial_ssthresh", "send_buffer_packets",
+                  "approach_ceiling", "freeze_in_avoidance",
+                  "post_timeout_stall"):
         if field in case:
             sender_kwargs[field] = case[field]
     server = make_synthetic_server(case["algorithm"],

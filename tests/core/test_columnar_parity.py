@@ -19,6 +19,7 @@ from repro.core.columnar import (
     DEFAULT_COHORT_SIZE,
     ColumnarProbeEngine,
     ProbeJob,
+    admission_reject_reason,
     columnar_cohort_size,
     sender_admissible,
 )
@@ -26,7 +27,7 @@ from repro.core.gather import GatherConfig, SyntheticServer, TraceGatherer
 from repro.envknobs import EnvKnobError
 from repro.net.conditions import NetworkCondition
 from repro.tcp.base import AckContext, CongestionAvoidance, CongestionState
-from repro.tcp.connection import SenderConfig, TcpSender
+from repro.tcp.connection import ACK_BATCH_ENV, SenderConfig, TcpSender
 from repro.tcp.algorithms.dctcp import Dctcp
 from repro.tcp.algorithms.reno import Reno
 from repro.tcp.registry import ALL_ALGORITHM_NAMES
@@ -44,6 +45,12 @@ SCENARIOS = [
     ("frto", dict(w_timeout=64), dict(use_frto=True)),
     ("quirks", dict(w_timeout=64), dict(initial_ssthresh=40.0,
                                         send_buffer_packets=90.0)),
+    ("ceiling", dict(w_timeout=64), dict(approach_ceiling=100.0)),
+    ("freeze", dict(w_timeout=64), dict(freeze_in_avoidance=True,
+                                        initial_ssthresh=40.0)),
+    ("ceiling+freeze", dict(w_timeout=64), dict(approach_ceiling=100.0,
+                                                freeze_in_avoidance=True,
+                                                initial_ssthresh=40.0)),
 ]
 
 
@@ -253,6 +260,68 @@ def test_census_report_identical_with_columnar_disabled(monkeypatch,
     columnar, scalar = reports["1"], reports["0"]
     assert len(columnar) == len(scalar)
     assert columnar.outcomes == scalar.outcomes
+
+
+@pytest.mark.parametrize("algorithm,config_kwargs,reason", [
+    ("reno", dict(), None),
+    ("reno", dict(approach_ceiling=100.0, freeze_in_avoidance=True),
+     "approach-ceiling"),
+    ("reno", dict(freeze_in_avoidance=True), "freeze"),
+    ("reno", dict(post_timeout_stall=True), "post-timeout-stall"),
+    ("reno", dict(use_cwnd_moderation=True), "moderation"),
+    ("bbr", dict(), "no-kernel"),
+    ("reno", dict(slow_start="hybrid"), "slow-start-policy"),
+])
+def test_admission_reject_reasons(algorithm, config_kwargs, reason):
+    from repro.tcp.registry import create_algorithm
+
+    sender = TcpSender(create_algorithm(algorithm),
+                       SenderConfig(mss=100, **config_kwargs))
+    assert admission_reject_reason(sender) == reason
+    assert sender_admissible(sender) is (reason is None)
+
+
+def test_admission_reject_reason_hook_estimator_and_reference_tier(
+        monkeypatch):
+    sender = TcpSender(Reno(), SenderConfig(mss=100))
+    sender._batch_decoupled = False
+    assert admission_reject_reason(sender) == "coupled-hook"
+    sender = TcpSender(Reno(), SenderConfig(mss=100))
+    sender.rto.alpha = 0.25
+    assert admission_reject_reason(sender) == "estimator"
+    monkeypatch.setenv(ACK_BATCH_ENV, "0")
+    assert admission_reject_reason(
+        TcpSender(Reno(), SenderConfig(mss=100))) == "reference-tier"
+
+
+def test_census_rejects_sum_by_reason(monkeypatch, trained_classifier):
+    """Every admission reject of a census is counted under one reason."""
+    import repro.core.census as census_module
+
+    engines = []
+
+    class RecordingEngine(ColumnarProbeEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    monkeypatch.setattr(census_module, "ColumnarProbeEngine", RecordingEngine)
+    population = ServerPopulation(PopulationConfig(
+        size=30, seed=7, approaching_fraction=0.2,
+        freeze_in_avoidance_fraction=0.2))
+    population.generate()
+    CensusRunner(trained_classifier,
+                 CensusConfig(seed=5, backend="serial")).run(population)
+    rejects, by_reason = 0, {}
+    for engine in engines:
+        rejects += engine.stats.admission_rejects
+        for reason, count in engine.stats.rejects_by_reason.items():
+            by_reason[reason] = by_reason.get(reason, 0) + count
+        assert (engine.stats.as_dict()["rejects_by_reason"]
+                == dict(sorted(engine.stats.rejects_by_reason.items())))
+    assert rejects > 0
+    assert sum(by_reason.values()) == rejects
+    assert {"approach-ceiling", "freeze"} <= set(by_reason)
 
 
 def test_training_examples_identical_with_columnar_disabled(monkeypatch):

@@ -15,8 +15,11 @@ from repro.tcp.registry import ALL_ALGORITHM_NAMES
 from tests.core.differential_harness import (
     CORPUS_SEED,
     CORPUS_SIZE,
+    FUZZ_QUIRK_SHARE,
+    QUIRK_CORPUS_SIZE,
     assert_case_parity,
     build_corpus,
+    committed_corpus,
     load_corpus,
 )
 
@@ -24,18 +27,35 @@ CORPUS = load_corpus()
 
 
 def test_committed_corpus_matches_generator():
-    """The corpus file is exactly ``build_corpus(CORPUS_SIZE, CORPUS_SEED)``.
+    """The corpus file is exactly :func:`committed_corpus`.
 
     Guards both directions: an edited corpus file (hand-tweaked cases would
     no longer be reproducible from the seed) and a drifted generator (which
-    would silently change what the committed cases mean).
+    would silently change what the committed cases mean). The base cases
+    are the historic ``build_corpus(CORPUS_SIZE, CORPUS_SEED)`` draw.
     """
-    assert CORPUS == build_corpus(CORPUS_SIZE, CORPUS_SEED)
+    assert CORPUS == committed_corpus()
+    assert CORPUS[:CORPUS_SIZE] == build_corpus(CORPUS_SIZE, CORPUS_SEED)
 
 
 def test_corpus_covers_every_algorithm():
     """Cycling the registry guarantees full algorithm coverage."""
     assert {case["algorithm"] for case in CORPUS} == set(ALL_ALGORITHM_NAMES)
+
+
+def test_corpus_covers_every_quirk():
+    """The quirk block carries the ceiling, freeze and stall quirks."""
+    quirk_cases = CORPUS[CORPUS_SIZE:]
+    assert len(quirk_cases) == QUIRK_CORPUS_SIZE
+    freeze = {i for i, c in enumerate(quirk_cases)
+              if c.get("freeze_in_avoidance")}
+    ceiling = {i for i, c in enumerate(quirk_cases) if "approach_ceiling" in c}
+    stall = {i for i, c in enumerate(quirk_cases)
+             if c.get("post_timeout_stall")}
+    assert freeze - ceiling and ceiling - freeze and freeze & ceiling and stall
+    assert all(0.8 * c["w_timeout"] <= c["approach_ceiling"]
+               <= 1.6 * c["w_timeout"] for c in quirk_cases
+               if "approach_ceiling" in c)
 
 
 @pytest.mark.parametrize("index", range(len(CORPUS)),
@@ -54,5 +74,6 @@ def test_fuzz_cases(request):
     seed = request.config.getoption("--fuzz-seed")
     # Offset the stream so --fuzz-seed 0 does not replay the committed
     # corpus's draws (CORPUS_SEED) or overlap other seeds trivially.
-    for case in build_corpus(count, master_seed=seed + CORPUS_SEED + 1):
+    for case in build_corpus(count, master_seed=seed + CORPUS_SEED + 1,
+                             quirk_share=FUZZ_QUIRK_SHARE):
         assert_case_parity(case)

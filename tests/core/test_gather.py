@@ -8,6 +8,7 @@ from repro.core.gather import (
     GatherConfig,
     SyntheticServer,
     TraceGatherer,
+    _surviving_stretches,
     negotiate_probe_mss,
     probe_with_w_timeout_ladder,
 )
@@ -122,3 +123,34 @@ class TestLadderAndMss:
                                                    minimum_mss=400)) == 536
         assert negotiate_probe_mss(SyntheticServer("reno", lambda mss: SenderConfig(mss=mss),
                                                    minimum_mss=5000)) is None
+
+
+def _split_stretches(mask):
+    """The historic ``np.split`` formulation of ``_surviving_stretches``."""
+    survivors = np.flatnonzero(mask)
+    if survivors.size == 0:
+        return []
+    breaks = np.flatnonzero(np.diff(survivors) > 1) + 1
+    return [(int(chunk[0]), int(chunk.size))
+            for chunk in np.split(survivors, breaks)]
+
+
+class TestSurvivingStretches:
+    def test_matches_split_formulation_on_random_masks(self):
+        rng = np.random.default_rng(2011)
+        for _ in range(500):
+            size = int(rng.integers(0, 300))
+            loss = float(rng.choice([0.02, 0.2, 0.5, 0.9]))
+            mask = rng.random(size) >= loss
+            assert _surviving_stretches(mask) == _split_stretches(mask)
+            assert _surviving_stretches(~mask) == _split_stretches(~mask)
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 7, 64])
+    def test_matches_split_formulation_on_edge_masks(self, size):
+        alternating = np.arange(size) % 2 == 0
+        for mask in (np.ones(size, dtype=bool), np.zeros(size, dtype=bool),
+                     alternating, ~alternating):
+            stretches = _surviving_stretches(mask)
+            assert stretches == _split_stretches(mask)
+            assert all(type(value) is int
+                       for stretch in stretches for value in stretch)

@@ -33,6 +33,12 @@ SCENARIOS = [
     ("frto", dict(w_timeout=64), dict(use_frto=True)),
     ("quirks", dict(w_timeout=64), dict(initial_ssthresh=40.0,
                                         send_buffer_packets=90.0)),
+    ("ceiling", dict(w_timeout=64), dict(approach_ceiling=100.0)),
+    ("freeze", dict(w_timeout=64), dict(freeze_in_avoidance=True,
+                                        initial_ssthresh=40.0)),
+    ("ceiling+freeze", dict(w_timeout=64), dict(approach_ceiling=100.0,
+                                                freeze_in_avoidance=True,
+                                                initial_ssthresh=40.0)),
 ]
 
 

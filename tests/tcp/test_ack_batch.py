@@ -57,13 +57,15 @@ def on_ack_ladder(sender, acks, now):
     return sender._expand(sender.on_ack_ladder(ladder(acks), now))
 
 
-def drive_probe(sender, rounds=30, rtt=1.0, use_run=True, w_timeout=256):
+def drive_probe(sender, rounds=30, rtt=1.0, use_run=True, w_timeout=256,
+                emissions=None):
     """Drive a sender through an emulated CAAI probe (timeout included).
 
     ``use_run`` feeds each round's ACKs through the batched ladder API,
     otherwise one :meth:`TcpSender.on_ack` call per ACK. Returns the
     per-round segment counts -- a window trace equivalent that captures
-    every observable transmission decision.
+    every observable transmission decision. When ``emissions`` is a list,
+    each round's transmitted segments are appended to it.
     """
     now = 0.0
     segments = sender.start(now)
@@ -71,6 +73,8 @@ def drive_probe(sender, rounds=30, rtt=1.0, use_run=True, w_timeout=256):
     timed_out = False
     for _ in range(rounds):
         windows.append(len(segments))
+        if emissions is not None:
+            emissions.append(segments)
         now += rtt
         if not timed_out and len(segments) > w_timeout:
             deadline = sender.next_timer_deadline()
@@ -90,6 +94,23 @@ def drive_probe(sender, rounds=30, rtt=1.0, use_run=True, w_timeout=256):
         if not segments:
             break
     return windows, now
+
+
+#: The families that carry the ceiling/freeze quirks in the census
+#: population (``westwood`` is Westwood+, ``hstcp`` HighSpeed TCP).
+QUIRK_FAMILIES = ("reno", "cubic-b", "bic", "htcp", "ctcp-a", "illinois",
+                  "hstcp", "westwood")
+
+#: Growth quirks the batched ladder path must reproduce exactly;
+#: ``low-ceiling`` sits below the window floor, so every ACK's cap is
+#: clamped back up (the large initial window gives it one batchable run).
+GROWTH_QUIRKS = {
+    "ceiling": dict(approach_ceiling=100.0),
+    "freeze": dict(freeze_in_avoidance=True, initial_ssthresh=40.0),
+    "ceiling+freeze": dict(approach_ceiling=100.0, freeze_in_avoidance=True,
+                           initial_ssthresh=40.0),
+    "low-ceiling": dict(approach_ceiling=0.5, initial_window=10),
+}
 
 
 class TestRunApiEquivalence:
@@ -162,13 +183,112 @@ class TestRunApiEquivalence:
         assert batch_out == scalar_out
         assert batch_sender.snapshot() == scalar_sender.snapshot()
 
+    @pytest.mark.parametrize("quirk", sorted(GROWTH_QUIRKS))
+    @pytest.mark.parametrize("algorithm", QUIRK_FAMILIES)
+    def test_growth_quirks_batch_exactly(self, algorithm, quirk):
+        emissions = {}
+        senders = {}
+        for use_run in (True, False):
+            sender = make_sender(algorithm, **GROWTH_QUIRKS[quirk])
+            emissions[use_run] = []
+            drive_probe(sender, use_run=use_run, emissions=emissions[use_run])
+            senders[use_run] = sender
+        batch, scalar = senders[True], senders[False]
+        assert emissions[True] == emissions[False]
+        assert batch.snapshot() == scalar.snapshot()
+        assert batch.state.acked_in_round == scalar.state.acked_in_round
+        assert batch.state.avoidance_rounds == scalar.state.avoidance_rounds
+        assert batch.rto.rttvar == scalar.rto.rttvar
+        assert batch.batch_runs > 0
+        assert scalar.batch_runs == 0
+
+    @pytest.mark.parametrize("quirk", ["ceiling", "freeze", "ceiling+freeze"])
+    def test_growth_quirks_batch_without_rtt_samples(self, quirk):
+        def drive(use_run):
+            sender = make_sender("reno", **dict(GROWTH_QUIRKS[quirk],
+                                                initial_window=10))
+            sent = []
+            for seg in sender.start(0.0):
+                sent.extend(sender.on_ack(seg.end_seq, 1.0))
+            srtt = sender.rto.srtt
+            deadline = sender.next_timer_deadline()
+            out = sender.on_timer(deadline)
+            # The second round is acknowledged after the timeout: Karn's
+            # rule discards every sample of the run.
+            acks = [seg.end_seq for seg in sent]
+            if use_run:
+                out += on_ack_ladder(sender, acks, deadline + 0.5)
+            else:
+                for ack in acks:
+                    out.extend(sender.on_ack(ack, deadline + 0.5))
+            return sender, out, srtt
+
+        batch_sender, batch_out, srtt = drive(True)
+        scalar_sender, scalar_out, _ = drive(False)
+        assert batch_sender.batch_runs == 1
+        assert batch_out == scalar_out
+        assert batch_sender.snapshot() == scalar_sender.snapshot()
+        assert batch_sender.rto.srtt == srtt
+
+    def test_frozen_gap_keeps_the_round_tally_exact(self):
+        def drive(use_run):
+            sender = make_sender("reno", freeze_in_avoidance=True,
+                                 initial_ssthresh=2.0, initial_window=12)
+            acks = [seg.end_seq for seg in sender.start(0.0)]
+            # Lose the first two ACKs (a multi-packet first advance) and the
+            # last one (the round stays open, so its tally is observable).
+            acks = acks[2:-1]
+            if use_run:
+                return sender, on_ack_ladder(sender, acks, 1.0)
+            out = []
+            for ack in acks:
+                out.extend(sender.on_ack(ack, 1.0))
+            return sender, out
+
+        batch_sender, batch_out = drive(True)
+        scalar_sender, scalar_out = drive(False)
+        # A frozen ACK ticks nothing, so the jump must not be added to the
+        # tally after the batch: the jump runs per ACK, the rest batches.
+        assert batch_sender.batch_runs == 1
+        assert batch_out == scalar_out
+        assert batch_sender.snapshot() == scalar_sender.snapshot()
+        assert (batch_sender.state.acked_in_round
+                == scalar_sender.state.acked_in_round == 0)
+
+    def test_ceiling_below_the_floor_is_clamped_per_ack(self):
+        class WindowLog(Reno):
+            """RENO that logs the window each growth hook is handed."""
+
+            name = "window-log"
+
+            def __init__(self):
+                super().__init__()
+                self.seen = []
+
+            def on_ack_slow_start(self, state, ctx):
+                self.seen.append(state.cwnd)
+                super().on_ack_slow_start(state, ctx)
+
+            def on_ack_avoidance(self, state, ctx):
+                self.seen.append(state.cwnd)
+                super().on_ack_avoidance(state, ctx)
+
+        quirk = GROWTH_QUIRKS["low-ceiling"]
+        batch = make_sender(WindowLog(), **quirk)
+        scalar = make_sender(WindowLog(), **quirk)
+        drive_probe(batch, rounds=4, use_run=True)
+        drive_probe(scalar, rounds=4, use_run=False)
+        # Every ACK but the first sees the half-packet cap clamped to 1.
+        assert batch.algorithm.seen == scalar.algorithm.seen
+        assert min(scalar.algorithm.seen) == 1.0
+        assert batch.batch_runs > 0
+
     def test_quirk_configs_fall_back(self):
-        for quirk in (dict(approach_ceiling=100.0),
-                      dict(use_cwnd_moderation=True),
-                      dict(freeze_in_avoidance=True)):
-            sender = make_sender("reno", **quirk)
-            drive_probe(sender, rounds=6)
-            assert sender.batch_runs == 0
+        """Cwnd moderation keeps every ACK per-ACK (the ceiling and freeze
+        quirks batch: see ``test_growth_quirks_batch_exactly``)."""
+        sender = make_sender("reno", use_cwnd_moderation=True)
+        drive_probe(sender, rounds=6)
+        assert sender.batch_runs == 0
 
 
 class TestCustomSubclassSafety:
