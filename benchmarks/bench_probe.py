@@ -47,10 +47,9 @@ from repro.core.classifier import CaaiClassifier
 from repro.core.columnar import (
     COLUMNAR_ENV,
     ColumnarProbeEngine,
-    ProbeJob,
     sender_admissible,
 )
-from repro.core.gather import GatherConfig, TraceGatherer
+from repro.core.gather import GatherConfig, ProbeJob, TraceGatherer
 from repro.core.training import TrainingSetBuilder
 from repro.net.conditions import NetworkCondition, default_condition_database
 from repro.tcp.connection import ACK_BATCH_ENV, SenderConfig, TcpSender

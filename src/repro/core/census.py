@@ -41,11 +41,10 @@ from repro.core.checkpoint import (
 from repro.core.classifier import CaaiClassifier
 from repro.core.columnar import (
     ColumnarProbeEngine,
-    LadderLane,
     columnar_cohort_size,
     columnar_enabled,
 )
-from repro.core.gather import negotiate_probe_mss, probe_with_w_timeout_ladder
+from repro.core.gather import LadderLane, negotiate_probe_mss, probe_with_w_timeout_ladder
 from repro.core.labels import UNSURE
 from repro.core.results import CensusReport, ServerOutcome
 from repro.core.special_cases import detect_shape_case, detect_stalled_case
@@ -438,7 +437,8 @@ def _probe_chunk_task(tasks: list[tuple[ServerRecord, np.random.SeedSequence]]
         lane = LadderLane(record.server, record.condition,
                           np.random.default_rng(seed), mss,
                           server_id=record.profile.server_id,
-                          wait_between_environments=config.wait_between_environments)
+                          wait_between_environments=config.wait_between_environments,
+                          deadline=config.probe_deadline)
         prepared.append((index, outcome, lane, record))
         lanes.append(lane)
     ColumnarProbeEngine().run(lanes)

@@ -17,16 +17,16 @@ draws. The engine owns only the *clean* path — rounds in which every data
 packet and every ACK survives and the sender's reply is one contiguous burst
 of new data. Everything else runs on the real objects:
 
-* connection open, probe start, the emulated timeout, F-RTO fallback and the
-  first post-timeout round are driven through the real
-  :class:`~repro.tcp.connection.TcpSender` entry points per session;
+* each session's trace is one :class:`~repro.core.gather.TraceRun`, the
+  probe loop the scalar gatherer steps too. Connection open, probe start,
+  the emulated timeout, F-RTO fallback and the first post-timeout round are
+  ``TraceRun`` stages on the real :class:`~repro.tcp.connection.TcpSender`;
 * any divergence — a loss draw striking, a sender reply that is not a single
   clean burst, a quiet server — drops the session into *real rounds*: the rng
   stream is rewound to the round start and the round (and any messy rounds
-  after it) executes through the scalar gatherer's own helpers on the real
-  sender, rejoining the columnar fast path as soon as the reply is a clean
-  burst again. Divergence therefore costs one scalar round, not the trace
-  twice over;
+  after it) is ``TraceRun.step()`` on the real sender, rejoining the columnar
+  fast path as soon as the reply is a clean burst again. Divergence
+  therefore costs one scalar round, not the trace twice over;
 * non-registry algorithms and quirky server profiles are rejected at
   admission (counted per reason in ``ColumnarStats.rejects_by_reason``) and
   run whole probes on the segment-block engine; as a safety
@@ -56,11 +56,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.environments import DEFAULT_ENVIRONMENTS, W_TIMEOUT_LADDER, NetworkEnvironment
+from repro.core.environments import DEFAULT_ENVIRONMENTS, NetworkEnvironment
 from repro.envknobs import env_flag, env_int
-from repro.core.gather import GatherConfig, ProbeableServer, SyntheticServer, TraceGatherer
+from repro.core.gather import (
+    ProbeableServer,
+    ProbeJob,
+    ProbeLane,
+    SyntheticServer,
+    TraceGatherer,
+    TraceRun,
+)
 from repro.core.trace import InvalidReason, ProbeTrace, WindowTrace
-from repro.net.conditions import NetworkCondition
 from repro.tcp.algorithms.kernels import (
     ALWAYS_KERNEL as _ALWAYS_KERNEL,
     KERNEL_LOOP,
@@ -115,82 +121,16 @@ def columnar_cohort_size() -> int:
 
 
 # --------------------------------------------------------------------- lanes
-@dataclass
-class ProbeJob:
-    """One probe request: a server under a condition with a gather config."""
-
-    server: ProbeableServer
-    condition: NetworkCondition
-    rng: np.random.Generator
-    config: GatherConfig
-    server_id: str | None = None
-
-
-class ProbeLane:
-    """A sequential consumer of probes: the cohort's unit of scheduling.
-
-    A lane feeds the engine one :class:`ProbeJob` at a time and receives the
-    finished :class:`ProbeTrace` back; its own rng draws (condition sampling,
-    server construction, ladder retries) stay strictly sequential within the
-    lane, so lanes are bit-independent and the cohort's lock-step interleaving
-    cannot reorder any stream.
-    """
-
-    def next_job(self) -> ProbeJob | None:
-        raise NotImplementedError
-
-    def job_done(self, probe: ProbeTrace) -> None:
-        raise NotImplementedError
-
-
 class SingleProbeLane(ProbeLane):
     """One fixed probe; the result lands in :attr:`result`."""
 
-    def __init__(self, server: ProbeableServer, condition: NetworkCondition,
-                 rng: np.random.Generator, config: GatherConfig | None = None,
-                 server_id: str | None = None):
-        self._job: ProbeJob | None = ProbeJob(server, condition, rng,
-                                              config or GatherConfig(), server_id)
+    def __init__(self, job: ProbeJob):
+        self._job: ProbeJob | None = job
         self.result: ProbeTrace | None = None
 
     def next_job(self) -> ProbeJob | None:
         job, self._job = self._job, None
         return job
-
-    def job_done(self, probe: ProbeTrace) -> None:
-        self.result = probe
-
-
-class LadderLane(ProbeLane):
-    """`probe_with_w_timeout_ladder` as a lane: retry down the ladder until a
-    probe is usable for feature extraction, keep the last attempt otherwise."""
-
-    def __init__(self, server: ProbeableServer, condition: NetworkCondition,
-                 rng: np.random.Generator, mss: int,
-                 ladder: tuple[int, ...] = W_TIMEOUT_LADDER,
-                 server_id: str | None = None,
-                 wait_between_environments: float = 600.0):
-        self.server = server
-        self.condition = condition
-        self.rng = rng
-        self.mss = mss
-        self.ladder = ladder
-        self.server_id = server_id
-        self.wait = wait_between_environments
-        self._rung = 0
-        self.result: ProbeTrace | None = None
-
-    def next_job(self) -> ProbeJob | None:
-        if self.result is not None and self.result.usable_for_features:
-            return None
-        if self._rung >= len(self.ladder):
-            return None
-        w_timeout = self.ladder[self._rung]
-        self._rung += 1
-        config = GatherConfig(w_timeout=w_timeout, mss=self.mss,
-                              wait_between_environments=self.wait)
-        return ProbeJob(self.server, self.condition, self.rng, config,
-                        self.server_id)
 
     def job_done(self, probe: ProbeTrace) -> None:
         self.result = probe
@@ -356,19 +296,59 @@ def _slow_start_run(cwnd: float, ssthresh: float, count: int) -> tuple[int, floa
     return consumed, cwnd
 
 
+def _slow_start_split(state, count: int) -> tuple[float, int, float | None]:
+    """Slow start's share of a ``count``-ACK clean round.
+
+    Returns ``(cwnd, n1, final)``: the window once slow start has consumed
+    what it can of the first ``count - 1`` ACKs, the ``n1`` of those ACKs
+    left to congestion avoidance, and the round's final window when slow
+    start absorbs the last ACK too (``None`` when avoidance must run).
+    """
+    ss1, c1 = _slow_start_run(state.cwnd, state.ssthresh, count - 1)
+    n1 = (count - 1) - ss1
+    if n1 == 0 and c1 < state.ssthresh:
+        ss2, c2 = _slow_start_run(c1, state.ssthresh, 1)
+        if ss2 == 1:
+            return c1, n1, c2
+    return c1, n1, None
+
+
+def _hook_growth(runner: "_LaneRunner", state, ctx: AckContext,
+                 n1: int) -> tuple[float, float]:
+    """Avoidance growth on the lane's own batch hook: ``n1`` ACKs, then the last.
+
+    The exact scalar split, so trivially bit-identical. Returns the window
+    after the next-to-last ACK and after the last; a hook answering in any
+    other shape flags the lane for the ``hook-shape`` eject.
+    """
+    ok = True
+    if n1:
+        consumed, log = runner.hook(state, ctx, n1)
+        ok = consumed == n1 and log is None
+    cwnd_km1 = state.cwnd
+    if ok:
+        consumed, log = runner.hook(state, ctx, 1)
+        ok = consumed == 1 and log is None
+    if not ok:
+        runner._step_eject = "hook-shape"
+    return cwnd_km1, state.cwnd
+
+
 # --------------------------------------------------------------- the engine
 _NEED_JOB = "need-job"
 _START_TRACE = "start-trace"
 _CLEAN = "clean"
 _REAL = "real"
-_TIMEOUT = "timeout"
 _DONE = "done"
 
 
 class _LaneRunner:
     """Per-lane probe/trace state machine driven by the engine.
 
-    Real-call stages (trace start, the emulated timeout, ejects, finalisation)
+    The trace itself is one :class:`~repro.core.gather.TraceRun`: the vector
+    step writes clean rounds into it, and every other stage (a real round,
+    the emulated timeout) is ``run.step()`` on the real sender. Real-call
+    stages (trace start, real rounds, the timeout, ejects, finalisation)
     execute inside :meth:`advance`, which always parks the runner either in
     the clean-round state — ready for the next vectorized step — or done.
     """
@@ -382,16 +362,11 @@ class _LaneRunner:
         self.env_index = 0
         self.traces: list[WindowTrace] = []
         # Per-trace state.
-        self.sender: TcpSender | None = None
-        self.trace: WindowTrace | None = None
+        self.run: TraceRun | None = None
         self.snapshot = None
         self.server_snapshot = None
         self.start_time = 0.0
-        self.now = 0.0
-        self.phase = "pre"
-        self.idx = 0
         # Cached per-trace constants (attribute-chain hoisting for the step).
-        self.env: NetworkEnvironment | None = None
         self.loss = 0.0
         self.mss = 0
         self.wt = 0
@@ -401,19 +376,14 @@ class _LaneRunner:
         self.sbuf = float("inf")
         self.max_pre = 0
         self.post_rounds = 0
-        self.rng: np.random.Generator | None = None
         self.state = None
         self.rto: RtoEstimator | None = None
         self.alg = None
         self.hook = None           # the sender's bound _avoidance_batch
         self.round_hook = None     # on_round_complete, None when the no-op base
-        self.he = 0        # highest received end_seq (bytes)
-        self.hp = 0        # previous round's highest_end
-        self.hpk = 0       # highest received stop_index (packets)
         self.b_start = 0   # in-flight burst [start, stop) packets, sent at b_sent
         self.b_stop = 0
         self.b_sent = 0.0
-        self.blocks: list = []   # real in-flight blocks while in the real stage
         self._step_eject: str | None = None
 
     @property
@@ -429,9 +399,7 @@ class _LaneRunner:
             elif self.stage == _START_TRACE:
                 self._start_trace()
             elif self.stage == _REAL:
-                self._real_round()
-            elif self.stage == _TIMEOUT:
-                self._emulated_timeout()
+                self._real_step()
 
     def _next_job(self) -> None:
         job = self.lane.next_job()
@@ -442,12 +410,14 @@ class _LaneRunner:
         self.gatherer = TraceGatherer(job.config, self.engine.environments)
         self.env_index = 0
         self.traces = []
-        if not server_admissible(job.server) or job.condition.ecn_mark_rate > 0.0:
+        if (not server_admissible(job.server) or job.condition.ecn_mark_rate > 0.0
+                or job.config.deadline is not None):
             # The whole probe runs scalar; the lane schedule is unaffected.
             # ECN-capable conditions always take this path: the vector
             # kernels know nothing about mark draws or per-round ECN
             # feedback, so any condition that can mark at all is handed to
-            # the round-level gatherer before a lane is built.
+            # the round-level gatherer before a lane is built. So does a
+            # deadline budget, which the vector step does not check.
             began = time.perf_counter()
             probe = self.gatherer.gather_probe(job.server, job.condition,
                                                job.rng, job.server_id)
@@ -492,14 +462,6 @@ class _LaneRunner:
             self.engine.stats.scalar_seconds += time.perf_counter() - began
             self._finish(trace)
             return
-        self.sender = sender
-        self.trace = WindowTrace(environment=env.name, w_timeout=config.w_timeout,
-                                 mss=config.mss,
-                                 required_post_rounds=config.rounds_after_timeout)
-        self.now = self.start_time
-        self.phase, self.idx = "pre", 0
-        self.he = self.hp = self.hpk = 0
-        self.env = env
         self.loss = job.condition.loss_rate
         self.mss = config.mss
         self.wt = config.w_timeout
@@ -510,7 +472,6 @@ class _LaneRunner:
         self.sbuf = float("inf") if buffer is None else buffer
         self.max_pre = config.max_pre_timeout_rounds
         self.post_rounds = config.rounds_after_timeout
-        self.rng = job.rng
         self.state = sender.state
         self.rto = sender.rto
         self.alg = sender.algorithm
@@ -519,117 +480,33 @@ class _LaneRunner:
         self.round_hook = (sender.algorithm.on_round_complete
                            if hook is not CongestionAvoidance.on_round_complete
                            else None)
-        blocks = sender.start_native(self.start_time)
-        if self._virtualize(blocks):
-            self.stage = _CLEAN
-        else:
-            self.blocks = blocks
-            self.stage = _REAL
+        self.run = TraceRun(self.gatherer, sender, job.server, env, job.condition,
+                            job.rng, self.start_time)
+        self.stage = _CLEAN if self._virtualize(self.run.emission) else _REAL
 
-    # -------------------------------------------------------- real-call round
-    def _emulated_timeout(self) -> None:
-        """The emulated timeout on the real sender — the exact sequence of
-        ``TraceGatherer._run_probe_blocks``; the retransmission burst is then
-        processed by the real post-timeout round."""
-        sender, job = self.sender, self.job
-        began = time.perf_counter()
-        try:
-            deadline = sender.next_timer_deadline()
-            if deadline is None:
-                self._finish_current(InvalidReason.NO_TIMEOUT_RESPONSE)
-                return
-            self.now = max(self.now, deadline)
-            blocks = sender.on_timer_native(self.now)
-            if not blocks:
-                self._finish_current(InvalidReason.NO_TIMEOUT_RESPONSE)
-                return
-            if job.server.uses_frto():
-                sender.on_ack_packet(self.hpk, self.now, is_duplicate=True)
-            self.phase, self.idx = "post", 0
-            self.blocks = blocks
-            self.stage = _REAL
-        finally:
-            self.engine.stats.scalar_seconds += time.perf_counter() - began
+    # -------------------------------------------------------- real-call step
+    def _real_step(self) -> None:
+        """One :meth:`TraceRun.step` on the real sender: a round or the timeout.
 
-    def _real_round(self) -> None:
-        """One full round on the real sender via the gatherer's own helpers.
-
-        The exact loop body of ``TraceGatherer._run_probe_blocks`` — loss
-        splitting, dupacks, recovery, retransmissions, quiet-server timer
-        refires all behave scalar because they *are* the scalar code. Each
-        round ends with a rejoin attempt: as soon as the sender's reply is the
-        clean single-burst shape again, the lane returns to the columnar fast
-        path. Divergence therefore costs one scalar round, not (as a
-        rewind-and-replay eject would) the whole trace twice.
+        Loss splitting, dupacks, recovery, retransmissions, quiet-server
+        timer refires all behave scalar because they *are* the scalar code.
+        Each real round ends with a rejoin attempt: as soon as the sender's
+        reply is the clean single-burst shape again, the lane returns to the
+        columnar fast path. Divergence therefore costs one scalar round, not
+        (as a rewind-and-replay eject would) the whole trace twice. The
+        timeout's retransmission burst always gets a real round.
         """
-        sender, gatherer, job = self.sender, self.gatherer, self.job
-        condition, rng = job.condition, job.rng
+        run = self.run
+        timeout = run.phase == "timeout"
+        if not timeout:
+            self.engine.stats.real_rounds += 1
         began = time.perf_counter()
-        self.engine.stats.real_rounds += 1
         try:
-            blocks = self.blocks
-            trace = self.trace
-            if self.phase == "pre":
-                received = gatherer._deliver_blocks(blocks, condition, rng)
-                if not received:
-                    self._finish_current(InvalidReason.INSUFFICIENT_DATA)
-                    return
-                for block in received:
-                    if block.end_seq > self.he:
-                        self.he = block.end_seq
-                    if block.stop_index > self.hpk:
-                        self.hpk = block.stop_index
-                window = gatherer._window_estimate_blocks(received, self.he, self.hp)
-                self.hp = self.he
-                trace.pre_timeout.append(window)
-                self.now += self.env.rtt_before_timeout(self.idx)
-                if window > self.wt:
-                    self.stage = _TIMEOUT
-                    return
-                blocks, lost = gatherer._acknowledge_blocks(
-                    sender, received, condition, rng, self.now, self.hpk)
-                trace.ack_loss_events += lost
-                if not blocks:
-                    self._finish_current(InvalidReason.INSUFFICIENT_DATA)
-                    return
-                self.idx += 1
-                if self.idx >= self.max_pre:
-                    self._finish_current(InvalidReason.WINDOW_BELOW_W_TIMEOUT)
-                    return
-            else:
-                if not blocks:
-                    # Quiet server: a lost round of ACKs leaves data unacked
-                    # and the retransmission timer eventually refires.
-                    deadline = sender.next_timer_deadline()
-                    if deadline is not None and not sender.all_data_acked():
-                        self.now = max(self.now, deadline)
-                        blocks = sender.on_timer_native(self.now)
-                received = gatherer._deliver_blocks(blocks, condition, rng)
-                if not blocks:
-                    self._finish_current(InvalidReason.INSUFFICIENT_DATA)
-                    return
-                if received:
-                    for block in received:
-                        if block.end_seq > self.he:
-                            self.he = block.end_seq
-                        if block.stop_index > self.hpk:
-                            self.hpk = block.stop_index
-                    window = gatherer._window_estimate_blocks(received, self.he,
-                                                              self.hp)
-                    self.hp = self.he
-                else:
-                    window = 0.0
-                trace.post_timeout.append(window)
-                self.now += self.env.rtt_after_timeout(self.idx)
-                blocks, lost = gatherer._acknowledge_blocks(
-                    sender, received, condition, rng, self.now, self.hpk)
-                trace.ack_loss_events += lost
-                self.idx += 1
-                if self.idx >= self.post_rounds:
-                    self._finish_current(None)
-                    return
-            self.blocks = blocks
-            if self._virtualize(blocks):
+            run.step()
+            if run.phase == "done":
+                self._finish_current()
+            elif (not timeout and run.phase != "timeout"
+                    and self._virtualize(run.emission)):
                 self.stage = _CLEAN
         finally:
             self.engine.stats.scalar_seconds += time.perf_counter() - began
@@ -642,7 +519,7 @@ class _LaneRunner:
         ``[snd_una, snd_nxt)``, no recovery/F-RTO residue, a single send span
         and a timer consistent with the armed-iff rule.
         """
-        sender = self.sender
+        sender = self.run.sender
         if len(blocks) != 1:
             return False
         block = blocks[0]
@@ -699,16 +576,14 @@ class _LaneRunner:
         self.engine.stats.scalar_seconds += time.perf_counter() - began
         self._finish(trace)
 
-    def _finish_current(self, reason: InvalidReason | None) -> None:
-        if reason is not None:
-            self.trace.invalid_reason = reason
+    def _finish_current(self, reason: InvalidReason | None = None) -> None:
+        self.run.end(reason)
         self.engine.stats.columnar_traces += 1
-        self._finish(self.trace)
+        self._finish(self.run.trace)
 
     def _finish(self, trace: WindowTrace) -> None:
         self.traces.append(trace)
-        self.sender = None
-        self.trace = None
+        self.run = None
         self.env_index += 1
         if self.env_index < len(self.engine.environments):
             self.stage = _START_TRACE
@@ -752,8 +627,7 @@ class ColumnarProbeEngine:
 
     def gather_probes(self, jobs: list[ProbeJob]) -> list[ProbeTrace]:
         """Probe one cohort of independent jobs; results in job order."""
-        lanes = [SingleProbeLane(job.server, job.condition, job.rng,
-                                 job.config, job.server_id) for job in jobs]
+        lanes = [SingleProbeLane(job) for job in jobs]
         self.run(lanes)
         return [lane.result for lane in lanes]
 
@@ -761,9 +635,9 @@ class ColumnarProbeEngine:
     def _clean_step(self, batch: list[_LaneRunner]) -> None:
         """Advance every clean-round lane by one ACK-ladder round.
 
-        The per-lane structure mirrors ``TraceGatherer._run_probe_blocks``
+        The per-lane structure is one round of :meth:`TraceRun.step`
         (delivery, window estimate, schedule advance, timeout check, ACK
-        ladder) and the ladder's effect mirrors
+        ladder), written into the lane's run; the ladder's effect mirrors
         ``TcpSender._consume_clean_run``. The O(ACKs)-deep recurrences -- the
         RTO EWMA and the congestion-avoidance growth -- run on cohort-wide
         columns (one vector operation per ladder step for the whole batch);
@@ -773,19 +647,20 @@ class ColumnarProbeEngine:
         """
         sub: list[_LaneRunner] = []
         for r in batch:
+            run = r.run
             start, stop = r.b_start, r.b_stop
             if start >= stop:
-                if r.phase == "pre":
+                if run.phase == "pre":
                     # The server ran out of data mid slow start.
                     r._finish_current(InvalidReason.INSUFFICIENT_DATA)
                 else:
                     # Quiet server: the real round owns timer refires and the
                     # end-of-stream verdict.
-                    r.blocks = []
+                    run.emission = []
                     r.stage = _REAL
                 continue
             loss = r.loss
-            rng = r.rng
+            rng = run.rng
             if loss > 0.0:
                 snapshot = rng.bit_generator.state
                 if bool((rng.random(stop - start) < loss).any()):
@@ -794,7 +669,7 @@ class ColumnarProbeEngine:
                     # redraws the same values and splits the burst around the
                     # losses.
                     rng.bit_generator.state = snapshot
-                    r.blocks = [r._virtual_block()]
+                    run.emission = [r._virtual_block()]
                     r.stage = _REAL
                     continue
             # Window estimate (byte-based; the stream tail may be short).
@@ -806,10 +681,10 @@ class ColumnarProbeEngine:
             if last_len > mss or last_len <= 0:
                 last_len = mss
             end_seq = last_seq + last_len
-            he = r.he if r.he > end_seq else end_seq
-            by_seq = (he - r.hp) / mss
+            he = run.highest_end if run.highest_end > end_seq else end_seq
+            by_seq = (he - run.highest_prev) / mss
             window = by_seq if by_seq > 0 else float(stop - start)
-            pre = r.phase == "pre"
+            pre = run.phase == "pre"
             timeout_break = pre and window > r.wt
             # The ACK draws sit behind the timeout break, exactly as in the
             # scalar loop (a break-out round never acknowledges). Stream order
@@ -823,18 +698,20 @@ class ColumnarProbeEngine:
                 # identically and the ACK draws then fragment the ladder
                 # exactly as the scalar path would.
                 rng.bit_generator.state = snapshot
-                r.blocks = [r._virtual_block()]
+                run.emission = [r._virtual_block()]
                 r.stage = _REAL
                 continue
-            (r.trace.pre_timeout if pre else r.trace.post_timeout).append(window)
-            r.he = r.hp = he
-            if stop > r.hpk:
-                r.hpk = stop
-            r.now += (r.env.rtt_before_timeout(r.idx) if pre
-                      else r.env.rtt_after_timeout(r.idx))
+            (run.trace.pre_timeout if pre else run.trace.post_timeout).append(window)
+            run.highest_end = run.highest_prev = he
+            if stop > run.highest_packet:
+                run.highest_packet = stop
+            run.now += (run.environment.rtt_before_timeout(run.index) if pre
+                        else run.environment.rtt_after_timeout(run.index))
             self.stats.columnar_rounds += 1
             if timeout_break:
-                r.stage = _TIMEOUT
+                # The emulated timeout runs on the real sender.
+                run.phase = "timeout"
+                r.stage = _REAL
                 continue
             sub.append(r)
         if not sub:
@@ -852,8 +729,9 @@ class ColumnarProbeEngine:
             cwnd_km1 = [0.0] * count
             cwnd_fin = [0.0] * count
             for j, r in enumerate(sub):
+                now = r.run.now
                 kk = r.b_stop - r.b_start
-                sample = r.now - r.b_sent
+                sample = now - r.b_sent
                 if sample < 1e-9:
                     sample = 1e-9
                 k.append(kk)
@@ -867,38 +745,23 @@ class ColumnarProbeEngine:
                     state.min_rtt = sample
                 if sample > state.max_rtt:
                     state.max_rtt = sample
-                ss1, c1 = _slow_start_run(state.cwnd, state.ssthresh, kk - 1)
-                n1 = (kk - 1) - ss1
-                if n1 == 0 and c1 < state.ssthresh:
-                    ss2, c2 = _slow_start_run(c1, state.ssthresh, 1)
-                    if ss2 == 1:
-                        cwnd_km1[j] = c1
-                        cwnd_fin[j] = c2
-                        continue
+                c1, n1, final = _slow_start_split(state, kk)
+                if final is not None:
+                    cwnd_km1[j], cwnd_fin[j] = c1, final
+                    continue
                 state.cwnd = c1
-                ctx = AckContext(now=r.now, rtt_sample=sample,
-                                 newly_acked_packets=1)
-                ok = True
-                if n1:
-                    consumed, log = r.hook(state, ctx, n1)
-                    ok = consumed == n1 and log is None
-                cwnd_km1[j] = state.cwnd
-                if ok:
-                    consumed, log = r.hook(state, ctx, 1)
-                    ok = consumed == 1 and log is None
-                cwnd_fin[j] = state.cwnd
-                if not ok:
-                    r._step_eject = "hook-shape"
+                ctx = AckContext(now=now, rtt_sample=sample, newly_acked_packets=1)
+                cwnd_km1[j], cwnd_fin[j] = _hook_growth(r, state, ctx, n1)
             self._writeback(sub, rtt, k, cwnd_km1, cwnd_fin)
             return
 
         # --- RTO / RTT registration (decoupled branch of _consume_clean_run)
         k = np.array([r.b_stop - r.b_start for r in sub], dtype=np.int64)
-        rtt = np.array([r.now - r.b_sent for r in sub], dtype=np.float64)
+        rtt = np.array([r.run.now - r.b_sent for r in sub], dtype=np.float64)
         np.maximum(rtt, 1e-9, out=rtt)
-        srtt = np.array([r.sender.rto.srtt if r.sender.rto.srtt is not None
+        srtt = np.array([r.rto.srtt if r.rto.srtt is not None
                          else np.nan for r in sub], dtype=np.float64)
-        rttvar = np.array([r.sender.rto.rttvar if r.sender.rto.rttvar is not None
+        rttvar = np.array([r.rto.rttvar if r.rto.rttvar is not None
                            else np.nan for r in sub], dtype=np.float64)
         RtoEstimator.observe_run_columns(srtt, rttvar, rtt, k)
 
@@ -920,15 +783,10 @@ class ColumnarProbeEngine:
                 state.min_rtt = sample
             if sample > state.max_rtt:
                 state.max_rtt = sample
-            kk = int(k[j])
-            ss1, c1 = _slow_start_run(state.cwnd, state.ssthresh, kk - 1)
-            n1 = (kk - 1) - ss1
-            if n1 == 0 and c1 < state.ssthresh:
-                ss2, c2 = _slow_start_run(c1, state.ssthresh, 1)
-                if ss2 == 1:
-                    cwnd_km1[j] = c1
-                    cwnd_fin[j] = c2
-                    continue
+            c1, n1, final = _slow_start_split(state, int(k[j]))
+            if final is not None:
+                cwnd_km1[j], cwnd_fin[j] = c1, final
+                continue
             fam = kernel_family(r.alg)
             type_width[fam] = type_width.get(fam, 0) + 1
             avoidance.append((j, r, sample, c1, n1, fam))
@@ -936,29 +794,18 @@ class ColumnarProbeEngine:
         for j, r, sample, c1, n1, fam in avoidance:
             state = r.state
             state.cwnd = c1
-            ctx = AckContext(now=r.now, rtt_sample=sample, newly_acked_packets=1)
+            ctx = AckContext(now=r.run.now, rtt_sample=sample, newly_acked_packets=1)
             if (fam == KERNEL_LOOP
                     or (type_width[fam] < _NARROW_GROUP
                         and type(r.alg) not in _ALWAYS_KERNEL)):
                 # A vector ladder step costs a few numpy dispatches however
                 # few sessions it advances; below this width the session's
-                # real batch hook (the exact scalar split: k - 1 ACKs, then
-                # the last) is cheaper -- and trivially bit-identical.
+                # real batch hook is cheaper -- and trivially bit-identical.
                 plan = None
             else:
                 plan = prepare_run(r.alg, state, ctx, n1 + 1)
             if plan is None or plan.mode == KERNEL_LOOP:
-                ok = True
-                if n1:
-                    consumed, log = r.hook(state, ctx, n1)
-                    ok = consumed == n1 and log is None
-                cwnd_km1[j] = state.cwnd
-                if ok:
-                    consumed, log = r.hook(state, ctx, 1)
-                    ok = consumed == 1 and log is None
-                cwnd_fin[j] = state.cwnd
-                if not ok:
-                    r._step_eject = "hook-shape"
+                cwnd_km1[j], cwnd_fin[j] = _hook_growth(r, state, ctx, n1)
                 continue
             groups.setdefault(plan.mode, []).append((j, c1, n1, 1, plan, r.alg))
         for mode, members in groups.items():
@@ -977,11 +824,12 @@ class ColumnarProbeEngine:
                 reason, r._step_eject = r._step_eject, None
                 r.eject(reason)
                 continue
-            sender = r.sender
+            run = r.run
+            sender = run.sender
             state = r.state
             state.cwnd = float(cwnd_fin[j])
             sample = float(rtt[j])
-            moment = r.now
+            moment = run.now
             kk = int(k[j])
             state.acked_in_round += kk
             state.last_round_rtt = sample
@@ -1028,14 +876,14 @@ class ColumnarProbeEngine:
             sender._send_spans = [[una, new_nxt, moment]] if new_nxt > una else []
             sender._timer_deadline = moment + base if armed else None
             r.b_start, r.b_stop, r.b_sent = una, new_nxt, moment
-            r.idx += 1
-            if r.phase == "pre":
+            run.index += 1
+            if run.phase == "pre":
                 # The scalar loop bails with INSUFFICIENT_DATA the moment an
                 # ACK yields no new data -- even on the last allowed round,
                 # where it beats the WINDOW_BELOW_W_TIMEOUT verdict.
                 if new_nxt <= una:
                     r._finish_current(InvalidReason.INSUFFICIENT_DATA)
-                elif r.idx >= r.max_pre:
+                elif run.index >= r.max_pre:
                     r._finish_current(InvalidReason.WINDOW_BELOW_W_TIMEOUT)
-            elif r.idx >= r.post_rounds:
-                r._finish_current(None)
+            elif run.index >= r.post_rounds:
+                r._finish_current()

@@ -135,6 +135,8 @@ class GatherConfig:
             raise ValueError("MSS must be positive")
         if self.rounds_after_timeout <= 0:
             raise ValueError("rounds_after_timeout must be positive")
+        if self.max_pre_timeout_rounds <= 0:
+            raise ValueError("max_pre_timeout_rounds must be positive")
         if self.deadline is not None and self.deadline <= 0:
             raise ValueError("deadline must be positive (or None)")
 
@@ -216,110 +218,14 @@ class TraceGatherer:
     def _run_probe(self, sender: TcpSender, server: ProbeableServer,
                    environment: NetworkEnvironment, condition: NetworkCondition,
                    rng: np.random.Generator, start_time: float) -> WindowTrace:
-        """Dispatch to the block or per-segment pipeline (bit-identical).
-
-        Senders natively emitting :class:`SegmentBlock` records (the default;
-        ``REPRO_ACK_BATCH=0`` selects the scalar reference, whose senders
-        emit per-packet :class:`Segment` objects) are driven without
-        materialising a single :class:`Segment` object: window estimation,
-        loss draws and the ACK ladder all run on block arithmetic.
-        """
-        if getattr(sender, "emits_blocks", False):
-            return self._run_probe_blocks(sender, server, environment,
-                                          condition, rng, start_time)
-        return self._run_probe_segments(sender, server, environment,
-                                        condition, rng, start_time)
-
-    def _run_probe_segments(self, sender: TcpSender, server: ProbeableServer,
-                            environment: NetworkEnvironment, condition: NetworkCondition,
-                            rng: np.random.Generator, start_time: float) -> WindowTrace:
-        config = self.config
-        trace = WindowTrace(environment=environment.name, w_timeout=config.w_timeout,
-                            mss=config.mss,
-                            required_post_rounds=config.rounds_after_timeout)
-        now = start_time
-        segments = sender.start(now)
-        highest_end = 0
-        highest_prev = 0
-
-        # ---- pre-timeout phase: slow start up to the emulated timeout ------
-        timed_out = False
-        for round_index in range(config.max_pre_timeout_rounds):
-            received = self._deliver_data(segments, condition, rng)
-            if not received:
-                trace.invalid_reason = InvalidReason.INSUFFICIENT_DATA
-                return trace
-            highest_end = max(highest_end, max(seg.end_seq for seg in received))
-            window = self._window_estimate(received, highest_end, highest_prev)
-            highest_prev = highest_end
-            trace.pre_timeout.append(window)
-            now += environment.rtt_before_timeout(round_index)
-            if self._past_deadline(now, start_time):
-                trace.invalid_reason = InvalidReason.PROBE_TIMEOUT
-                return trace
-            if window > config.w_timeout:
-                timed_out = True
-                break
-            self._ecn_feedback(sender, len(received), condition, rng, now)
-            segments, lost_acks = self._acknowledge(sender, received, condition,
-                                                    rng, now, highest_end)
-            trace.ack_loss_events += lost_acks
-            if not segments:
-                trace.invalid_reason = InvalidReason.INSUFFICIENT_DATA
-                return trace
-        if not timed_out:
-            trace.invalid_reason = InvalidReason.WINDOW_BELOW_W_TIMEOUT
-            return trace
-
-        # ---- the emulated timeout ------------------------------------------
-        deadline = sender.next_timer_deadline()
-        if deadline is None:
-            trace.invalid_reason = InvalidReason.NO_TIMEOUT_RESPONSE
-            return trace
-        now = max(now, deadline)
-        if self._past_deadline(now, start_time):
-            trace.invalid_reason = InvalidReason.PROBE_TIMEOUT
-            return trace
-        segments = sender.on_timer(now)
-        if not segments:
-            trace.invalid_reason = InvalidReason.NO_TIMEOUT_RESPONSE
-            return trace
-        if server.uses_frto():
-            # One duplicate ACK makes an F-RTO server fall back to the
-            # conventional timeout recovery (Section IV-C).
-            sender.on_ack(highest_prev, now, is_duplicate=True)
-
-        # ---- post-timeout phase: 18 rounds of window estimates --------------
-        for post_index in range(config.rounds_after_timeout):
-            if not segments:
-                # The server went quiet. If it still has unacknowledged data
-                # its retransmission timer will eventually fire (e.g. the ACKs
-                # of a whole round were lost); otherwise it ran out of data
-                # and the trace cannot reach 18 post-timeout rounds.
-                deadline = sender.next_timer_deadline()
-                if deadline is not None and not sender.all_data_acked():
-                    now = max(now, deadline)
-                    segments = sender.on_timer(now)
-            received = self._deliver_data(segments, condition, rng)
-            if not segments:
-                trace.invalid_reason = InvalidReason.INSUFFICIENT_DATA
-                return trace
-            if received:
-                highest_end = max(highest_end, max(seg.end_seq for seg in received))
-                window = self._window_estimate(received, highest_end, highest_prev)
-                highest_prev = highest_end
-            else:
-                window = 0.0
-            trace.post_timeout.append(window)
-            now += environment.rtt_after_timeout(post_index)
-            if self._past_deadline(now, start_time):
-                trace.invalid_reason = InvalidReason.PROBE_TIMEOUT
-                return trace
-            self._ecn_feedback(sender, len(received), condition, rng, now)
-            segments, lost_acks = self._acknowledge(sender, received, condition,
-                                                    rng, now, highest_end)
-            trace.ack_loss_events += lost_acks
-        return trace
+        """Play one trace of the probe to its end, one :class:`TraceRun` stage
+        at a time (the scalar reference's run for senders that do not emit
+        segment blocks)."""
+        run_type = TraceRun if getattr(sender, "emits_blocks", False) else _ReferenceTraceRun
+        run = run_type(self, sender, server, environment, condition, rng, start_time)
+        while run.phase != "done":
+            run.step()
+        return run.trace
 
     def _past_deadline(self, now: float, start_time: float) -> bool:
         """Whether the per-environment deadline budget is exhausted."""
@@ -347,9 +253,9 @@ class TraceGatherer:
         One Bernoulli draw per delivered packet (vectorised, on the probe's
         own stream) when the condition's ``ecn_mark_rate`` is non-zero; the
         marked count rides back to the sender as one feedback call per round,
-        just before the round's ACK ladder. The segment and block paths call
-        this with identical packet counts at identical points, so their rng
-        streams stay in lock step with ECN on. With the default rate of 0.0
+        just before the round's ACK ladder. :meth:`TraceRun.step` makes this
+        call for both round I/O formats with the same packet count, so their
+        rng streams stay in lock step with ECN on. With the default rate of 0.0
         the method consumes no draws and makes no calls -- every historic
         trace is byte-identical.
         """
@@ -359,18 +265,19 @@ class TraceGatherer:
         if marked:
             sender.ecn_feedback(marked, packet_count, now)
 
-    def _window_estimate(self, received: list[Segment], highest_end: int,
+    def _window_estimate(self, packets: int, highest_end: int,
                          highest_prev: int) -> float:
         """Estimate the round's window from the highest received sequence number.
 
         The retransmission round after the timeout repeats old sequence
         numbers, so the sequence-based estimate would be zero; CAAI falls back
-        to counting packets there (the value is not used by feature
-        extraction, which only looks at relative growth later in the trace).
+        to counting the round's ``packets`` there (the value is not used by
+        feature extraction, which only looks at relative growth later in the
+        trace).
         """
         by_sequence = (highest_end - highest_prev) / self.config.mss
         if by_sequence <= 0:
-            return float(len(received))
+            return float(packets)
         return float(by_sequence)
 
     def _acknowledge(self, sender: TcpSender, received: list[Segment],
@@ -401,118 +308,6 @@ class TraceGatherer:
         return sender.on_ack_run(ladder, now), lost
 
     # ------------------------------------------------- block-level pipeline
-    def _run_probe_blocks(self, sender: TcpSender, server: ProbeableServer,
-                          environment: NetworkEnvironment, condition: NetworkCondition,
-                          rng: np.random.Generator, start_time: float) -> WindowTrace:
-        """The probe driven on segment blocks: O(runs) per round, no objects.
-
-        Mirrors :meth:`_run_probe_segments` step for step. The highest
-        received sequence number is tracked both in bytes (window estimates
-        are byte-based, the stream tail may be shorter than one MSS) and in
-        packet-cumulative units (the sender's ACK ladder works in packets;
-        acknowledging segment ``i`` always advances the cumulative point to
-        ``i + 1``, which is exactly the block's ``stop_index``).
-        """
-        config = self.config
-        trace = WindowTrace(environment=environment.name, w_timeout=config.w_timeout,
-                            mss=config.mss,
-                            required_post_rounds=config.rounds_after_timeout)
-        now = start_time
-        blocks = sender.start_native(now)
-        highest_end = 0
-        highest_pkt = 0
-        highest_prev = 0
-
-        # ---- pre-timeout phase: slow start up to the emulated timeout ------
-        timed_out = False
-        for round_index in range(config.max_pre_timeout_rounds):
-            received = self._deliver_blocks(blocks, condition, rng)
-            if not received:
-                trace.invalid_reason = InvalidReason.INSUFFICIENT_DATA
-                return trace
-            for block in received:
-                if block.end_seq > highest_end:
-                    highest_end = block.end_seq
-                if block.stop_index > highest_pkt:
-                    highest_pkt = block.stop_index
-            window = self._window_estimate_blocks(received, highest_end, highest_prev)
-            highest_prev = highest_end
-            trace.pre_timeout.append(window)
-            now += environment.rtt_before_timeout(round_index)
-            if self._past_deadline(now, start_time):
-                trace.invalid_reason = InvalidReason.PROBE_TIMEOUT
-                return trace
-            if window > config.w_timeout:
-                timed_out = True
-                break
-            self._ecn_feedback(sender, block_packet_count(received), condition,
-                               rng, now)
-            blocks, lost_acks = self._acknowledge_blocks(sender, received, condition,
-                                                         rng, now, highest_pkt)
-            trace.ack_loss_events += lost_acks
-            if not blocks:
-                trace.invalid_reason = InvalidReason.INSUFFICIENT_DATA
-                return trace
-        if not timed_out:
-            trace.invalid_reason = InvalidReason.WINDOW_BELOW_W_TIMEOUT
-            return trace
-
-        # ---- the emulated timeout ------------------------------------------
-        deadline = sender.next_timer_deadline()
-        if deadline is None:
-            trace.invalid_reason = InvalidReason.NO_TIMEOUT_RESPONSE
-            return trace
-        now = max(now, deadline)
-        if self._past_deadline(now, start_time):
-            trace.invalid_reason = InvalidReason.PROBE_TIMEOUT
-            return trace
-        blocks = sender.on_timer_native(now)
-        if not blocks:
-            trace.invalid_reason = InvalidReason.NO_TIMEOUT_RESPONSE
-            return trace
-        if server.uses_frto():
-            # One duplicate ACK makes an F-RTO server fall back to the
-            # conventional timeout recovery (Section IV-C).
-            sender.on_ack_packet(highest_pkt, now, is_duplicate=True)
-
-        # ---- post-timeout phase: 18 rounds of window estimates --------------
-        for post_index in range(config.rounds_after_timeout):
-            if not blocks:
-                # The server went quiet. If it still has unacknowledged data
-                # its retransmission timer will eventually fire (e.g. the ACKs
-                # of a whole round were lost); otherwise it ran out of data
-                # and the trace cannot reach 18 post-timeout rounds.
-                deadline = sender.next_timer_deadline()
-                if deadline is not None and not sender.all_data_acked():
-                    now = max(now, deadline)
-                    blocks = sender.on_timer_native(now)
-            received = self._deliver_blocks(blocks, condition, rng)
-            if not blocks:
-                trace.invalid_reason = InvalidReason.INSUFFICIENT_DATA
-                return trace
-            if received:
-                for block in received:
-                    if block.end_seq > highest_end:
-                        highest_end = block.end_seq
-                    if block.stop_index > highest_pkt:
-                        highest_pkt = block.stop_index
-                window = self._window_estimate_blocks(received, highest_end,
-                                                      highest_prev)
-                highest_prev = highest_end
-            else:
-                window = 0.0
-            trace.post_timeout.append(window)
-            now += environment.rtt_after_timeout(post_index)
-            if self._past_deadline(now, start_time):
-                trace.invalid_reason = InvalidReason.PROBE_TIMEOUT
-                return trace
-            self._ecn_feedback(sender, block_packet_count(received), condition,
-                               rng, now)
-            blocks, lost_acks = self._acknowledge_blocks(sender, received, condition,
-                                                         rng, now, highest_pkt)
-            trace.ack_loss_events += lost_acks
-        return trace
-
     def _deliver_blocks(self, blocks: list[SegmentBlock], condition: NetworkCondition,
                         rng: np.random.Generator) -> list[SegmentBlock]:
         """Apply data-direction loss to blocks, splitting around lost packets.
@@ -538,14 +333,6 @@ class TraceGatherer:
             for first, size in _surviving_stretches(mask):
                 out.append(block.slice(first, first + size))
         return out
-
-    def _window_estimate_blocks(self, received: list[SegmentBlock],
-                                highest_end: int, highest_prev: int) -> float:
-        """:meth:`_window_estimate` on blocks (packet-count fallback intact)."""
-        by_sequence = (highest_end - highest_prev) / self.config.mss
-        if by_sequence <= 0:
-            return float(block_packet_count(received))
-        return float(by_sequence)
 
     def _acknowledge_blocks(self, sender: TcpSender, received: list[SegmentBlock],
                             condition: NetworkCondition, rng: np.random.Generator,
@@ -648,18 +435,241 @@ def _filter_ack_runs(runs: list[tuple], dropped: np.ndarray) -> list[tuple]:
     return kept_runs
 
 
-def probe_with_w_timeout_ladder(server: ProbeableServer, condition: NetworkCondition,
-                                rng: np.random.Generator, mss: int,
-                                ladder: tuple[int, ...] = W_TIMEOUT_LADDER,
-                                server_id: str | None = None,
-                                wait_between_environments: float = 600.0,
-                                deadline: float | None = None) -> ProbeTrace:
-    """Probe a server, lowering ``w_timeout`` until a valid trace is obtained.
+class TraceRun:
+    """One trace of the Section IV probe as a resumable state machine.
 
-    CAAI tries ``w_timeout`` of 512, 256, 128 and finally 64 packets
-    (Section IV-B); the first value that yields valid traces in both
-    environments wins. The last attempt is returned even if invalid so that
-    the census can categorise the failure.
+    :attr:`phase` is ``"pre"`` (slow-start rounds until the window passes
+    ``w_timeout``), ``"timeout"`` (the emulated timeout, with the F-RTO
+    duplicate ACK), ``"post"`` (the post-timeout rounds) or ``"done"``.
+    Each :meth:`step` plays exactly one stage: one round, or the timeout.
+    The columnar engine holds one run per lane: its vector step writes a
+    clean round's outcome into the same fields, and every other stage is
+    played here on the real sender.
+
+    The round I/O methods (``_start`` to ``_duplicate_ack``) speak the
+    default engine's :class:`SegmentBlock` format: window estimation, loss
+    draws and the ACK ladder all run on block arithmetic, without
+    materialising a single :class:`Segment`. The highest received sequence
+    number is tracked both in bytes (window estimates are byte-based, the
+    stream tail may be shorter than one MSS) and in packet-cumulative units
+    (the sender's ACK ladder works in packets; acknowledging segment ``i``
+    always advances the cumulative point to ``i + 1``, which is exactly the
+    block's ``stop_index``). :class:`_ReferenceTraceRun` swaps in the scalar
+    reference's I/O; the loop itself is shared.
+    """
+
+    def __init__(self, gatherer: TraceGatherer, sender: TcpSender,
+                 server: ProbeableServer, environment: NetworkEnvironment,
+                 condition: NetworkCondition, rng: np.random.Generator,
+                 start_time: float):
+        config = gatherer.config
+        self.gatherer = gatherer
+        self.config = config
+        self.sender = sender
+        self.server = server
+        self.environment = environment
+        self.condition = condition
+        self.rng = rng
+        self.start_time = start_time
+        self.trace = WindowTrace(environment=environment.name, w_timeout=config.w_timeout,
+                                 mss=config.mss,
+                                 required_post_rounds=config.rounds_after_timeout)
+        self.now = start_time
+        self.phase = "pre"
+        #: Round index within the current phase.
+        self.index = 0
+        self.highest_end = 0      # highest received end_seq (bytes)
+        self.highest_prev = 0     # the previous round's highest_end
+        self.highest_packet = 0   # highest received stop_index (packets)
+        #: What the sender has in flight: the next round's data.
+        self.emission = self._start(start_time)
+
+    def end(self, reason: InvalidReason | None = None) -> None:
+        """Close the trace, marking it invalid when ``reason`` is given."""
+        if reason is not None:
+            self.trace.invalid_reason = reason
+        self.phase = "done"
+
+    def step(self) -> None:
+        """Play the next stage of the trace."""
+        if self.phase == "timeout":
+            self._timeout()
+        else:
+            self._round()
+
+    def _round(self) -> None:
+        sender, config, trace, gatherer = self.sender, self.config, self.trace, self.gatherer
+        pre = self.phase == "pre"
+        if not pre and not self.emission:
+            # The server went quiet. If it still has unacknowledged data its
+            # retransmission timer will eventually fire (e.g. the ACKs of a
+            # whole round were lost); otherwise it ran out of data and the
+            # trace cannot reach 18 post-timeout rounds.
+            deadline = sender.next_timer_deadline()
+            if deadline is not None and not sender.all_data_acked():
+                self.now = max(self.now, deadline)
+                self.emission = self._on_timer(self.now)
+        received = self._deliver(self.emission)
+        # Nothing sent ends the trace; a round lost in full ends it only
+        # before the timeout (afterwards it records a zero window).
+        if not self.emission or (pre and not received):
+            self.end(InvalidReason.INSUFFICIENT_DATA)
+            return
+        packets = 0
+        window = 0.0
+        if received:
+            packets = self._absorb(received)
+            window = gatherer._window_estimate(packets, self.highest_end,
+                                               self.highest_prev)
+            self.highest_prev = self.highest_end
+        if pre:
+            trace.pre_timeout.append(window)
+            self.now += self.environment.rtt_before_timeout(self.index)
+        else:
+            trace.post_timeout.append(window)
+            self.now += self.environment.rtt_after_timeout(self.index)
+        if gatherer._past_deadline(self.now, self.start_time):
+            self.end(InvalidReason.PROBE_TIMEOUT)
+            return
+        if pre and window > config.w_timeout:
+            self.phase = "timeout"
+            return
+        gatherer._ecn_feedback(sender, packets, self.condition, self.rng, self.now)
+        self.emission, lost_acks = self._acknowledge(received)
+        trace.ack_loss_events += lost_acks
+        self.index += 1
+        if pre:
+            if not self.emission:
+                self.end(InvalidReason.INSUFFICIENT_DATA)
+            elif self.index >= config.max_pre_timeout_rounds:
+                self.end(InvalidReason.WINDOW_BELOW_W_TIMEOUT)
+        elif self.index >= config.rounds_after_timeout:
+            self.end()
+
+    def _timeout(self) -> None:
+        """The emulated timeout: wait out the server's retransmission timer."""
+        deadline = self.sender.next_timer_deadline()
+        if deadline is None:
+            self.end(InvalidReason.NO_TIMEOUT_RESPONSE)
+            return
+        self.now = max(self.now, deadline)
+        if self.gatherer._past_deadline(self.now, self.start_time):
+            self.end(InvalidReason.PROBE_TIMEOUT)
+            return
+        self.emission = self._on_timer(self.now)
+        if not self.emission:
+            self.end(InvalidReason.NO_TIMEOUT_RESPONSE)
+            return
+        if self.server.uses_frto():
+            # One duplicate ACK makes an F-RTO server fall back to the
+            # conventional timeout recovery (Section IV-C).
+            self._duplicate_ack()
+        self.phase, self.index = "post", 0
+
+    # ------------------------------------------------------------ round I/O
+    def _start(self, now: float) -> list[SegmentBlock]:
+        return self.sender.start_native(now)
+
+    def _on_timer(self, now: float) -> list[SegmentBlock]:
+        return self.sender.on_timer_native(now)
+
+    def _deliver(self, blocks: list[SegmentBlock]) -> list[SegmentBlock]:
+        return self.gatherer._deliver_blocks(blocks, self.condition, self.rng)
+
+    def _absorb(self, received: list[SegmentBlock]) -> int:
+        """Raise the highest-received marks; returns the packet count."""
+        packets = 0
+        for block in received:
+            packets += block.stop_index - block.start_index
+            if block.end_seq > self.highest_end:
+                self.highest_end = block.end_seq
+            if block.stop_index > self.highest_packet:
+                self.highest_packet = block.stop_index
+        return packets
+
+    def _acknowledge(self, received: list[SegmentBlock]) -> tuple[list[SegmentBlock], int]:
+        return self.gatherer._acknowledge_blocks(self.sender, received, self.condition,
+                                                 self.rng, self.now, self.highest_packet)
+
+    def _duplicate_ack(self) -> None:
+        self.sender.on_ack_packet(self.highest_packet, self.now, is_duplicate=True)
+
+
+class _ReferenceTraceRun(TraceRun):
+    """:class:`TraceRun` on the scalar reference (``REPRO_ACK_BATCH=0``).
+
+    Per-packet :class:`Segment` emissions, byte-valued ACK ladders fed to
+    the per-ACK engine through ``on_ack_run``, and the F-RTO duplicate ACK
+    at the highest received byte: the oracle the block format is checked
+    against.
+    """
+
+    def _start(self, now: float) -> list[Segment]:
+        return self.sender.start(now)
+
+    def _on_timer(self, now: float) -> list[Segment]:
+        return self.sender.on_timer(now)
+
+    def _deliver(self, segments: list[Segment]) -> list[Segment]:
+        return self.gatherer._deliver_data(segments, self.condition, self.rng)
+
+    def _absorb(self, received: list[Segment]) -> int:
+        highest = max(seg.end_seq for seg in received)
+        if highest > self.highest_end:
+            self.highest_end = highest
+        return len(received)
+
+    def _acknowledge(self, received: list[Segment]) -> tuple[list[Segment], int]:
+        return self.gatherer._acknowledge(self.sender, received, self.condition,
+                                          self.rng, self.now, self.highest_end)
+
+    def _duplicate_ack(self) -> None:
+        self.sender.on_ack(self.highest_prev, self.now, is_duplicate=True)
+
+
+@dataclass
+class ProbeJob:
+    """One probe request: a server under a condition with a gather config."""
+
+    server: ProbeableServer
+    condition: NetworkCondition
+    rng: np.random.Generator
+    config: GatherConfig
+    server_id: str | None = None
+
+
+class ProbeLane:
+    """A sequential consumer of probes: one probing policy, written once.
+
+    A lane hands out one :class:`ProbeJob` at a time and receives the
+    finished :class:`ProbeTrace` back; its own rng draws (condition sampling,
+    server construction, ladder retries) stay strictly sequential within the
+    lane. :meth:`run_scalar` drives it on the scalar gatherer; the columnar
+    engine drives a cohort of lanes in lock-step. Lanes are bit-independent,
+    so both ways of running a lane produce the same probes.
+    """
+
+    def next_job(self) -> ProbeJob | None:
+        raise NotImplementedError
+
+    def job_done(self, probe: ProbeTrace) -> None:
+        raise NotImplementedError
+
+    def run_scalar(self) -> None:
+        """Drive the lane to completion, one job at a time, on the scalar gatherer."""
+        while (job := self.next_job()) is not None:
+            gatherer = TraceGatherer(job.config)
+            self.job_done(gatherer.gather_probe(job.server, job.condition, job.rng,
+                                                server_id=job.server_id))
+
+
+class LadderLane(ProbeLane):
+    """CAAI's ``w_timeout`` ladder (Section IV-B) as a lane.
+
+    Tries ``w_timeout`` of 512, 256, 128 and finally 64 packets; the first
+    value that yields valid traces in both environments wins. The last
+    attempt is kept even if invalid so that the census can categorise the
+    failure. The result lands in :attr:`result`.
 
     Args:
         server: The server to probe.
@@ -671,22 +681,59 @@ def probe_with_w_timeout_ladder(server: ProbeableServer, condition: NetworkCondi
         wait_between_environments: Seconds between the A and B probes.
         deadline: Per-environment budget in simulated seconds (``None`` =
             unbounded); see :attr:`GatherConfig.deadline`.
+    """
+
+    def __init__(self, server: ProbeableServer, condition: NetworkCondition,
+                 rng: np.random.Generator, mss: int,
+                 ladder: tuple[int, ...] = W_TIMEOUT_LADDER,
+                 server_id: str | None = None,
+                 wait_between_environments: float = 600.0,
+                 deadline: float | None = None):
+        self.server = server
+        self.condition = condition
+        self.rng = rng
+        self.mss = mss
+        self.ladder = ladder
+        self.server_id = server_id
+        self.wait = wait_between_environments
+        self.deadline = deadline
+        self._rung = 0
+        self.result: ProbeTrace | None = None
+
+    def next_job(self) -> ProbeJob | None:
+        if self.result is not None and self.result.usable_for_features:
+            return None
+        if self._rung >= len(self.ladder):
+            return None
+        w_timeout = self.ladder[self._rung]
+        self._rung += 1
+        config = GatherConfig(w_timeout=w_timeout, mss=self.mss,
+                              wait_between_environments=self.wait,
+                              deadline=self.deadline)
+        return ProbeJob(self.server, self.condition, self.rng, config,
+                        self.server_id)
+
+    def job_done(self, probe: ProbeTrace) -> None:
+        self.result = probe
+
+
+def probe_with_w_timeout_ladder(server: ProbeableServer, condition: NetworkCondition,
+                                rng: np.random.Generator, mss: int,
+                                ladder: tuple[int, ...] = W_TIMEOUT_LADDER,
+                                server_id: str | None = None,
+                                wait_between_environments: float = 600.0,
+                                deadline: float | None = None) -> ProbeTrace:
+    """Probe a server, lowering ``w_timeout`` until a valid trace is obtained.
+
+    Runs a :class:`LadderLane` (same arguments) on the scalar gatherer.
 
     Returns:
         The first usable :class:`ProbeTrace`, or the last (invalid) one.
     """
-    last_probe: ProbeTrace | None = None
-    for w_timeout in ladder:
-        gatherer = TraceGatherer(GatherConfig(
-            w_timeout=w_timeout, mss=mss,
-            wait_between_environments=wait_between_environments,
-            deadline=deadline))
-        probe = gatherer.gather_probe(server, condition, rng, server_id=server_id)
-        last_probe = probe
-        if probe.usable_for_features:
-            return probe
-    assert last_probe is not None
-    return last_probe
+    lane = LadderLane(server, condition, rng, mss, ladder, server_id,
+                      wait_between_environments, deadline)
+    lane.run_scalar()
+    return lane.result
 
 
 def negotiate_probe_mss(server: ProbeableServer,

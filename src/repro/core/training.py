@@ -22,14 +22,12 @@ import numpy as np
 
 from repro.core.columnar import (
     ColumnarProbeEngine,
-    ProbeJob,
-    ProbeLane,
     columnar_cohort_size,
     columnar_enabled,
 )
 from repro.core.environments import W_TIMEOUT_LADDER
 from repro.core.features import FeatureExtractor, FeatureVector
-from repro.core.gather import GatherConfig, SyntheticServer, TraceGatherer
+from repro.core.gather import GatherConfig, ProbeJob, ProbeLane, SyntheticServer
 from repro.core.trace import ProbeTrace
 from repro.core.labels import training_label
 from repro.net.conditions import ConditionDatabase, default_condition_database
@@ -148,31 +146,9 @@ class TrainingSetBuilder:
 
     def _examples_for_pair(self, algorithm: str, w_timeout: int,
                            rng: np.random.Generator) -> list[TrainingExample]:
-        assert self.condition_database is not None
-        label = training_label(algorithm, w_timeout)
-        gatherer = TraceGatherer(GatherConfig(w_timeout=w_timeout, mss=self.mss))
-        examples: list[TrainingExample] = []
-        attempts = 0
-        max_attempts = self.conditions_per_pair * 4
-        while len(examples) < self.conditions_per_pair and attempts < max_attempts:
-            attempts += 1
-            condition = self.condition_database.sample(rng)
-            server = self._make_server(algorithm, rng)
-            if self.server_wrapper is not None:
-                # The attempt index diversifies per-server perturbation
-                # streams (e.g. evasion rngs) across a pair's conditions.
-                server = self.server_wrapper(
-                    server, f"{algorithm}/{w_timeout}/{attempts - 1}")
-            probe = gatherer.gather_probe(server, condition, rng)
-            if not probe.usable_for_features:
-                # The emulated condition was too hostile (e.g. an extreme loss
-                # draw); the paper simply gathers another trace.
-                continue
-            vector = self.extractor.extract(probe)
-            examples.append(TrainingExample(
-                algorithm=algorithm, w_timeout=w_timeout, label=label,
-                vector=vector, condition_index=attempts - 1))
-        return examples
+        lane = _PairLane(self, algorithm, w_timeout, rng)
+        lane.run_scalar()
+        return lane.examples
 
     def _make_server(self, algorithm: str, rng: np.random.Generator) -> SyntheticServer:
         initial_window = int(rng.choice(self.initial_windows))
@@ -185,12 +161,13 @@ class TrainingSetBuilder:
 
 
 class _PairLane(ProbeLane):
-    """One (algorithm, ``w_timeout``) pair as a sequential columnar lane.
+    """One (algorithm, ``w_timeout``) pair of the testbed as a probe lane.
 
-    Reproduces :meth:`TrainingSetBuilder._examples_for_pair` exactly: the
-    condition draw, the server construction and the probe itself consume the
-    pair's rng stream in the scalar order, one attempt at a time, until the
-    pair has enough usable examples (or runs out of attempts).
+    Each attempt draws a condition, builds a server and probes it, all on
+    the pair's rng stream, until the pair has enough usable examples (or runs
+    out of attempts). A probe too hostile to use (e.g. an extreme loss draw)
+    is dropped; the paper simply gathers another trace. The columnar engine
+    and :meth:`~repro.core.gather.ProbeLane.run_scalar` drive the same lane.
     """
 
     def __init__(self, builder: TrainingSetBuilder, algorithm: str,
@@ -213,6 +190,8 @@ class _PairLane(ProbeLane):
         condition = builder.condition_database.sample(self.rng)
         server = builder._make_server(self.algorithm, self.rng)
         if builder.server_wrapper is not None:
+            # The attempt index diversifies per-server perturbation streams
+            # (e.g. evasion rngs) across a pair's conditions.
             server = builder.server_wrapper(
                 server, f"{self.algorithm}/{self.w_timeout}/{self.attempts - 1}")
         return ProbeJob(server, condition, self.rng, self.config)

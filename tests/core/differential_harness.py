@@ -27,8 +27,8 @@ import pathlib
 
 import numpy as np
 
-from repro.core.columnar import ColumnarProbeEngine, ProbeJob
-from repro.core.gather import GatherConfig, TraceGatherer
+from repro.core.columnar import ColumnarProbeEngine
+from repro.core.gather import GatherConfig, ProbeJob, TraceGatherer
 from repro.net.conditions import NetworkCondition
 from repro.tcp.connection import ACK_BATCH_ENV
 from repro.tcp.registry import ALL_ALGORITHM_NAMES

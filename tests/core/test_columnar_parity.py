@@ -18,12 +18,11 @@ from repro.core.columnar import (
     COLUMNAR_ENV,
     DEFAULT_COHORT_SIZE,
     ColumnarProbeEngine,
-    ProbeJob,
     admission_reject_reason,
     columnar_cohort_size,
     sender_admissible,
 )
-from repro.core.gather import GatherConfig, SyntheticServer, TraceGatherer
+from repro.core.gather import GatherConfig, ProbeJob, SyntheticServer, TraceGatherer
 from repro.envknobs import EnvKnobError
 from repro.net.conditions import NetworkCondition
 from repro.tcp.base import AckContext, CongestionAvoidance, CongestionState
@@ -51,18 +50,22 @@ SCENARIOS = [
     ("ceiling+freeze", dict(w_timeout=64), dict(approach_ceiling=100.0,
                                                 freeze_in_avoidance=True,
                                                 initial_ssthresh=40.0)),
+    ("deadline", dict(w_timeout=64, deadline=2.0), dict()),
+    ("deadline-lossy", dict(w_timeout=64, deadline=2.0,
+                            condition=NetworkCondition(average_rtt=0.2, rtt_std=0.0,
+                                                       loss_rate=0.02)), dict()),
 ]
 
 
 def probe_pair(algorithm, w_timeout=64, condition=None, seed=7, frto=False,
-               server_factory=None, **sender_kwargs):
+               server_factory=None, deadline=None, **sender_kwargs):
     """Probe equivalent servers on the scalar and the columnar engine.
 
     Returns ``(scalar_probe, columnar_probe, engine)`` after asserting the
     two runs consumed the random stream identically.
     """
     condition = condition or NetworkCondition.ideal()
-    config = GatherConfig(w_timeout=w_timeout, mss=100)
+    config = GatherConfig(w_timeout=w_timeout, mss=100, deadline=deadline)
     factory = server_factory or make_synthetic_server
 
     def build():

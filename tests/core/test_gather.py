@@ -26,6 +26,8 @@ class TestGatherConfig:
             GatherConfig(mss=0)
         with pytest.raises(ValueError):
             GatherConfig(rounds_after_timeout=0)
+        with pytest.raises(ValueError):
+            GatherConfig(max_pre_timeout_rounds=0)
 
     def test_required_bytes_scale_with_parameters(self):
         small = GatherConfig(w_timeout=64, mss=100).required_bytes()
