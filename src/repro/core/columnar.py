@@ -13,20 +13,26 @@ on numpy columns instead of once per session.
 Bit-exactness contract (the block engine's, lifted one level): with the engine
 on, every :class:`~repro.core.trace.ProbeTrace` is bit-identical to the
 segment-block scalar engine's, including the order and count of consumed rng
-draws. The engine owns only the *clean* path — rounds in which every data
-packet and every ACK survives and the sender's reply is one contiguous burst
-of new data. Everything else runs on the real objects:
+draws. The engine owns only the *clean* path — rounds whose burst is one
+contiguous run of new data and whose last packet and last ACK both survive.
+Interior losses are part of the clean path: CAAI acknowledges every packet
+it receives, so a lost data packet or a lost ACK only thins the round's ACK
+ladder, with no duplicate ACK and no recovery, and the round's growth and
+RTT registration simply run for the surviving ACKs. Everything else runs on
+the real objects:
 
 * each session's trace is one :class:`~repro.core.gather.TraceRun`, the
   probe loop the scalar gatherer steps too. Connection open, probe start,
   the emulated timeout, F-RTO fallback and the first post-timeout round are
   ``TraceRun`` stages on the real :class:`~repro.tcp.connection.TcpSender`;
-* any divergence — a loss draw striking, a sender reply that is not a single
-  clean burst, a quiet server — drops the session into *real rounds*: the rng
-  stream is rewound to the round start and the round (and any messy rounds
-  after it) is ``TraceRun.step()`` on the real sender, rejoining the columnar
-  fast path as soon as the reply is a clean burst again. Divergence
-  therefore costs one scalar round, not the trace twice over;
+* any divergence — a lost last packet or last ACK (the round stays open), a
+  sender reply that is not one clean burst, a quiet server — drops the
+  session into *real rounds*: the rng stream is rewound to the round start
+  and the round (and any messy rounds after it) is ``TraceRun.step()`` on the
+  real sender, rejoining the columnar fast path as soon as the reply is a
+  clean burst again. Divergence therefore costs one scalar round, not the
+  trace twice over; ``ColumnarStats.real_by_reason`` says why each real
+  round ran;
 * non-registry algorithms and quirky server profiles are rejected at
   admission (counted per reason in ``ColumnarStats.rejects_by_reason``) and
   run whole probes on the segment-block engine; as a safety
@@ -40,7 +46,7 @@ Sessions keep their real ``TcpSender`` / server / rng objects throughout;
 the numpy columns are materialised per step from the cohort, and per-session
 fields are written back after each lock-step round. That keeps every
 non-clean event on the battle-tested scalar code while the hot clean rounds
-(the overwhelming majority of a loss-free probe) cost one vector pass.
+(the overwhelming majority of a probe, lossy or not) cost one vector pass.
 
 ``REPRO_COLUMNAR=0`` disables the tier entirely (callers fall back to the
 historic per-session path); ``REPRO_COLUMNAR_COHORT`` sizes the cohorts the
@@ -152,6 +158,7 @@ class ColumnarStats:
     scalar_probes: int = 0
     rejects_by_reason: dict = field(default_factory=dict)
     ejects_by_reason: dict = field(default_factory=dict)
+    real_by_reason: dict = field(default_factory=dict)
     kernel_seconds: float = 0.0
     scalar_seconds: float = 0.0
 
@@ -162,6 +169,10 @@ class ColumnarStats:
     def note_eject(self, reason: str) -> None:
         self.ejected_traces += 1
         self.ejects_by_reason[reason] = self.ejects_by_reason.get(reason, 0) + 1
+
+    def note_real(self, reason: str) -> None:
+        self.real_rounds += 1
+        self.real_by_reason[reason] = self.real_by_reason.get(reason, 0) + 1
 
     @property
     def occupancy(self) -> float:
@@ -180,6 +191,7 @@ class ColumnarStats:
             "cohort_occupancy": round(self.occupancy, 2),
             "columnar_rounds": self.columnar_rounds,
             "real_rounds": self.real_rounds,
+            "real_by_reason": dict(sorted(self.real_by_reason.items())),
             "columnar_traces": self.columnar_traces,
             "ejected_traces": self.ejected_traces,
             "eject_rate": round(self.eject_rate, 4),
@@ -384,6 +396,12 @@ class _LaneRunner:
         self.b_start = 0   # in-flight burst [start, stop) packets, sent at b_sent
         self.b_stop = 0
         self.b_sent = 0.0
+        # The vector step's ACK ladder: how many ACKs survive, and the value
+        # of the next-to-last one (it sets the per-ACK transmission cap).
+        self.acks = 0
+        self.pen_ack = 0
+        #: Why the lane's next real round runs (``ColumnarStats.real_by_reason``).
+        self.real_reason = "rejoin-failed"
         self._step_eject: str | None = None
 
     @property
@@ -482,7 +500,10 @@ class _LaneRunner:
                            else None)
         self.run = TraceRun(self.gatherer, sender, job.server, env, job.condition,
                             job.rng, self.start_time)
-        self.stage = _CLEAN if self._virtualize(self.run.emission) else _REAL
+        if self._virtualize(self.run.emission):
+            self.stage = _CLEAN
+        else:
+            self._to_real("rejoin-failed")
 
     # -------------------------------------------------------- real-call step
     def _real_step(self) -> None:
@@ -491,7 +512,7 @@ class _LaneRunner:
         Loss splitting, dupacks, recovery, retransmissions, quiet-server
         timer refires all behave scalar because they *are* the scalar code.
         Each real round ends with a rejoin attempt: as soon as the sender's
-        reply is the clean single-burst shape again, the lane returns to the
+        reply is the clean burst shape again, the lane returns to the
         columnar fast path. Divergence therefore costs one scalar round, not
         (as a rewind-and-replay eject would) the whole trace twice. The
         timeout's retransmission burst always gets a real round.
@@ -499,15 +520,18 @@ class _LaneRunner:
         run = self.run
         timeout = run.phase == "timeout"
         if not timeout:
-            self.engine.stats.real_rounds += 1
+            self.engine.stats.note_real(self.real_reason)
         began = time.perf_counter()
         try:
             run.step()
             if run.phase == "done":
                 self._finish_current()
-            elif (not timeout and run.phase != "timeout"
-                    and self._virtualize(run.emission)):
+            elif timeout or run.phase == "timeout":
+                self.real_reason = "timeout"
+            elif self._virtualize(run.emission):
                 self.stage = _CLEAN
+            else:
+                self.real_reason = "rejoin-failed"
         finally:
             self.engine.stats.scalar_seconds += time.perf_counter() - began
 
@@ -517,40 +541,42 @@ class _LaneRunner:
         True only when the reply is the clean shape the columnar round models:
         one contiguous non-retransmission burst covering exactly
         ``[snd_una, snd_nxt)``, no recovery/F-RTO residue, a single send span
-        and a timer consistent with the armed-iff rule.
+        and a timer consistent with the armed-iff rule. The burst may arrive
+        as several records (a real round whose ACK ladder had holes emits
+        once per ladder stretch): when the one send span covers them all,
+        they are back-to-back pieces sent at the same instant, and the
+        gatherer's delivery draws and ACK ladder are the same for the pieces
+        as for the whole, so they count as one burst.
         """
         sender = self.run.sender
-        if len(blocks) != 1:
+        if not blocks or any(block.is_retransmission for block in blocks):
             return False
-        block = blocks[0]
-        if block.is_retransmission:
-            return False
-        if block.start_index != sender._snd_una or block.stop_index != sender._snd_nxt:
+        start, stop = blocks[0].start_index, blocks[-1].stop_index
+        sent_at = blocks[0].sent_at
+        if start != sender._snd_una or stop != sender._snd_nxt:
             return False
         if sender._round_end != sender._snd_nxt:
             return False
         if sender._frto_state or sender._in_recovery or sender._retransmitted:
             return False
-        if sender._send_spans != [[block.start_index, block.stop_index, block.sent_at]]:
+        if sender._send_spans != [[start, stop, sent_at]]:
             return False
         if (sender._last_timeout_time is not None
-                and block.sent_at < sender._last_timeout_time):
+                and sent_at < sender._last_timeout_time):
             return False
         # No constraint on the timer: ``start_native`` leaves it unarmed and
         # the ACK path arms it -- either way the columnar round overwrites it,
         # and a timeout hitting before any columnar ACK reads the sender's
         # real ``next_timer_deadline`` (None => NO_TIMEOUT_RESPONSE, exactly
         # the scalar verdict).
-        self.b_start, self.b_stop, self.b_sent = (block.start_index,
-                                                  block.stop_index, block.sent_at)
+        self.b_start, self.b_stop, self.b_sent = start, stop, sent_at
         return True
 
     def _virtual_block(self):
         """Materialise the clean-mode in-flight burst as a real block.
 
         Field-for-field what ``TcpSender._emit_range`` produced for the span
-        ``[b_start, b_stop)``; handed to the real round when a loss draw
-        strikes a clean-mode lane.
+        ``[b_start, b_stop)``.
         """
         stop = self.b_stop
         last = self.total_bytes - (stop - 1) * self.mss
@@ -558,6 +584,22 @@ class _LaneRunner:
             last = self.mss
         return SegmentBlock(start_index=self.b_start, stop_index=stop,
                             mss=self.mss, sent_at=self.b_sent, last_length=last)
+
+    def _to_real(self, reason: str) -> None:
+        """Leave the vector step: the next round is a real one."""
+        self.real_reason = reason
+        self.stage = _REAL
+
+    def _replay_real(self, snapshot, reason: str) -> None:
+        """Rewind the round's loss draws and hand the round to the real engine.
+
+        The real round redraws the same values from the rewound stream and
+        plays the incomplete ladder (a lost last packet or last ACK leaves
+        the round open) on the real sender.
+        """
+        self.run.rng.bit_generator.state = snapshot
+        self.run.emission = [self._virtual_block()]
+        self._to_real(reason)
 
     # ------------------------------------------------------------ transitions
     def eject(self, reason: str) -> None:
@@ -638,7 +680,19 @@ class ColumnarProbeEngine:
         The per-lane structure is one round of :meth:`TraceRun.step`
         (delivery, window estimate, schedule advance, timeout check, ACK
         ladder), written into the lane's run; the ladder's effect mirrors
-        ``TcpSender._consume_clean_run``. The O(ACKs)-deep recurrences -- the
+        ``TcpSender._consume_clean_run``. Loss draws thin the ladder rather
+        than end the vector round: with the burst's last packet and last ACK
+        delivered, the round closes as a clean one would, and its growth and
+        RTT registration run for the ``m`` surviving ACKs. That is exact for
+        the admitted senders: their batch hooks ignore
+        ``newly_acked_packets`` and read no evolving ``srtt`` (the
+        ``batch_decoupled`` contract), standard slow start grows by one per
+        ACK, and the per-ACK transmission cap only grows along the ladder,
+        so the next-to-last surviving ACK's cap is the largest before the
+        last. The sender's round tally (``acked_in_round``) still counts the
+        whole burst and the trace counts the lost ACKs. A lost last packet
+        or last ACK leaves the round open: the rng is rewound and the real
+        round plays it. The O(ACKs)-deep recurrences -- the
         RTO EWMA and the congestion-avoidance growth -- run on cohort-wide
         columns (one vector operation per ladder step for the whole batch);
         the O(1)-per-round bookkeeping (window estimate, caps, timer, span
@@ -657,24 +711,32 @@ class ColumnarProbeEngine:
                     # Quiet server: the real round owns timer refires and the
                     # end-of-stream verdict.
                     run.emission = []
-                    r.stage = _REAL
+                    r._to_real("quiet")
                 continue
+            burst = stop - start
             loss = r.loss
             rng = run.rng
+            # Offsets (into the burst) of the packets whose ACK reaches the
+            # sender; None while that is the whole burst.
+            survivors = None
             if loss > 0.0:
                 snapshot = rng.bit_generator.state
-                if bool((rng.random(stop - start) < loss).any()):
-                    # A data packet dies this round: rewind the stream to the
-                    # round start and hand the round to the real engine, which
-                    # redraws the same values and splits the burst around the
-                    # losses.
-                    rng.bit_generator.state = snapshot
-                    run.emission = [r._virtual_block()]
-                    r.stage = _REAL
-                    continue
-            # Window estimate (byte-based; the stream tail may be short).
-            # Computed before any mutation so a losing ACK draw below can bail
-            # to the real engine without an undo.
+                kept = rng.random(burst) >= loss
+                if not kept.all():
+                    if not kept[-1]:
+                        # The burst's last packet dies: no ACK completes the
+                        # round, so the real round plays it.
+                        r._replay_real(snapshot, "data-tail")
+                        continue
+                    # Interior losses only thin the ACK ladder: CAAI
+                    # acknowledges every packet it receives, so no duplicate
+                    # ACK and no recovery follows.
+                    survivors = np.flatnonzero(kept)
+            received = burst if survivors is None else len(survivors)
+            # Window estimate (byte-based; the stream tail may be short). The
+            # last packet arrived, so the highest received marks are the
+            # clean round's. Computed before any mutation so a losing ACK
+            # draw below can bail to the real engine without an undo.
             mss = r.mss
             last_seq = (stop - 1) * mss
             last_len = r.total_bytes - last_seq
@@ -683,25 +745,38 @@ class ColumnarProbeEngine:
             end_seq = last_seq + last_len
             he = run.highest_end if run.highest_end > end_seq else end_seq
             by_seq = (he - run.highest_prev) / mss
-            window = by_seq if by_seq > 0 else float(stop - start)
+            window = by_seq if by_seq > 0 else float(received)
             pre = run.phase == "pre"
             timeout_break = pre and window > r.wt
-            # The ACK draws sit behind the timeout break, exactly as in the
-            # scalar loop (a break-out round never acknowledges). Stream order
-            # is unaffected by drawing here rather than after the bookkeeping:
-            # a clean round consumes the data array then the ACK array with
-            # nothing in between.
-            if (not timeout_break and loss > 0.0
-                    and bool((rng.random(stop - start) < loss).any())):
-                # An ACK dies: rewind the stream to the round start and replay
-                # the round on the real engine — the data draws re-consume
-                # identically and the ACK draws then fragment the ladder
-                # exactly as the scalar path would.
-                rng.bit_generator.state = snapshot
-                run.emission = [r._virtual_block()]
-                r.stage = _REAL
-                continue
-            (run.trace.pre_timeout if pre else run.trace.post_timeout).append(window)
+            # The ACK draws (one per received packet) sit behind the timeout
+            # break, exactly as in the scalar loop (a break-out round never
+            # acknowledges). Stream order is unaffected by drawing here rather
+            # than after the bookkeeping: a round consumes the data array then
+            # the ACK array with nothing in between.
+            lost_acks = 0
+            if not timeout_break and loss > 0.0:
+                delivered = rng.random(received) >= loss
+                if not delivered.all():
+                    if not delivered[-1]:
+                        # The last ACK dies: the round stays open on the real
+                        # sender; rewind so the real round redraws both arrays.
+                        r._replay_real(snapshot, "ack-tail")
+                        continue
+                    if survivors is None:
+                        survivors = np.flatnonzero(delivered)
+                    else:
+                        survivors = survivors[delivered]
+                    lost_acks = received - len(survivors)
+            if survivors is None:
+                r.acks, r.pen_ack = burst, stop - 1
+            else:
+                r.acks = len(survivors)
+                # ACKing the packet at offset i moves the cumulative point to
+                # start + i + 1.
+                r.pen_ack = start + int(survivors[-2]) + 1 if r.acks > 1 else start
+            trace = run.trace
+            (trace.pre_timeout if pre else trace.post_timeout).append(window)
+            trace.ack_loss_events += lost_acks
             run.highest_end = run.highest_prev = he
             if stop > run.highest_packet:
                 run.highest_packet = stop
@@ -711,7 +786,7 @@ class ColumnarProbeEngine:
             if timeout_break:
                 # The emulated timeout runs on the real sender.
                 run.phase = "timeout"
-                r.stage = _REAL
+                r._to_real("timeout")
                 continue
             sub.append(r)
         if not sub:
@@ -725,19 +800,17 @@ class ColumnarProbeEngine:
             # are the scalar engine's own primitives, so the results are
             # trivially bit-identical to the column path.
             rtt: list = []
-            k: list = []
             cwnd_km1 = [0.0] * count
             cwnd_fin = [0.0] * count
             for j, r in enumerate(sub):
                 now = r.run.now
-                kk = r.b_stop - r.b_start
+                acks = r.acks
                 sample = now - r.b_sent
                 if sample < 1e-9:
                     sample = 1e-9
-                k.append(kk)
                 rtt.append(sample)
                 estimator = r.rto
-                estimator.observe_run(sample, kk)
+                estimator.observe_run(sample, acks)
                 state = r.state
                 state.latest_rtt = sample
                 state.srtt = estimator.srtt
@@ -745,18 +818,18 @@ class ColumnarProbeEngine:
                     state.min_rtt = sample
                 if sample > state.max_rtt:
                     state.max_rtt = sample
-                c1, n1, final = _slow_start_split(state, kk)
+                c1, n1, final = _slow_start_split(state, acks)
                 if final is not None:
                     cwnd_km1[j], cwnd_fin[j] = c1, final
                     continue
                 state.cwnd = c1
                 ctx = AckContext(now=now, rtt_sample=sample, newly_acked_packets=1)
                 cwnd_km1[j], cwnd_fin[j] = _hook_growth(r, state, ctx, n1)
-            self._writeback(sub, rtt, k, cwnd_km1, cwnd_fin)
+            self._writeback(sub, rtt, cwnd_km1, cwnd_fin)
             return
 
         # --- RTO / RTT registration (decoupled branch of _consume_clean_run)
-        k = np.array([r.b_stop - r.b_start for r in sub], dtype=np.int64)
+        k = np.array([r.acks for r in sub], dtype=np.int64)
         rtt = np.array([r.run.now - r.b_sent for r in sub], dtype=np.float64)
         np.maximum(rtt, 1e-9, out=rtt)
         srtt = np.array([r.rto.srtt if r.rto.srtt is not None
@@ -783,7 +856,7 @@ class ColumnarProbeEngine:
                 state.min_rtt = sample
             if sample > state.max_rtt:
                 state.max_rtt = sample
-            c1, n1, final = _slow_start_split(state, int(k[j]))
+            c1, n1, final = _slow_start_split(state, r.acks)
             if final is not None:
                 cwnd_km1[j], cwnd_fin[j] = c1, final
                 continue
@@ -810,9 +883,9 @@ class ColumnarProbeEngine:
             groups.setdefault(plan.mode, []).append((j, c1, n1, 1, plan, r.alg))
         for mode, members in groups.items():
             KernelGroup(mode, members).run(cwnd_km1, cwnd_fin)
-        self._writeback(sub, rtt, k, cwnd_km1, cwnd_fin)
+        self._writeback(sub, rtt, cwnd_km1, cwnd_fin)
 
-    def _writeback(self, sub: list[_LaneRunner], rtt, k,
+    def _writeback(self, sub: list[_LaneRunner], rtt,
                    cwnd_km1, cwnd_fin) -> None:
         """Round completion, caps, emission, timer and span writeback.
 
@@ -830,8 +903,10 @@ class ColumnarProbeEngine:
             state.cwnd = float(cwnd_fin[j])
             sample = float(rtt[j])
             moment = run.now
-            kk = int(k[j])
-            state.acked_in_round += kk
+            # The sender's tally counts every packet an ACK covers, so a
+            # thinned ladder still acknowledges the whole burst.
+            una = r.b_stop
+            state.acked_in_round += una - r.b_start
             state.last_round_rtt = sample
             if not state.in_slow_start():
                 state.avoidance_rounds += 1
@@ -842,16 +917,16 @@ class ColumnarProbeEngine:
             state.acked_in_round = 0
             sender._round_start_time = moment
             state.clamp()
-            # Transmission caps: the k-1'th ACK's window bounds the per-ACK
-            # emission, the post-hook window sets the round-end cap.
-            una = r.b_stop
+            # Transmission caps: the next-to-last ACK's value and window
+            # bound the per-ACK emission (both only grow along the ladder),
+            # the post-hook window sets the round-end cap.
             rwnd, sbuf = r.rwnd, r.sbuf
             eff = cwnd_km1[j]
             if rwnd < eff:
                 eff = rwnd
             if sbuf < eff:
                 eff = sbuf
-            cap_max = una - 1 + int(eff) if kk > 1 else 0
+            cap_max = r.pen_ack + int(eff) if r.acks > 1 else 0
             eff = state.cwnd
             if rwnd < eff:
                 eff = rwnd

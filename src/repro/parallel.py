@@ -216,14 +216,18 @@ class ParallelExecutor:
         workers = min(self.workers, len(task_list))
         pool_class = (ThreadPoolExecutor if self.backend == "thread"
                       else ProcessPoolExecutor)
-        with pool_class(max_workers=workers, initializer=initializer,
-                        initargs=tuple(initargs)) as pool:
-            if not self.capture_failures:
-                chunk = self.chunk_size
-                if chunk is None:
-                    chunk = max(1, len(task_list) // (workers * 4))
-                return list(pool.map(function, task_list, chunksize=chunk))
-            return self._map_captured(pool, function, task_list, describe)
+
+        def new_pool():
+            return pool_class(max_workers=workers, initializer=initializer,
+                              initargs=tuple(initargs))
+
+        if self.capture_failures:
+            return self._map_captured(new_pool, function, task_list, describe)
+        with new_pool() as pool:
+            chunk = self.chunk_size
+            if chunk is None:
+                chunk = max(1, len(task_list) // (workers * 4))
+            return list(pool.map(function, task_list, chunksize=chunk))
 
     # ------------------------------------------------------------- internals
     @staticmethod
@@ -232,7 +236,7 @@ class ParallelExecutor:
             return None
         return describe(index, task)
 
-    def _map_captured(self, pool, function: Callable,
+    def _map_captured(self, new_pool: Callable, function: Callable,
                       task_list: list, describe: Callable | None) -> list:
         """Submit-per-task map with failure capture and per-task timeouts.
 
@@ -242,27 +246,79 @@ class ParallelExecutor:
         time spent by earlier tasks also covers later ones — the budget is a
         per-task floor, not an exact pre-emption). Results stay in task
         order.
+
+        On the ``process`` backend a timeout also bounds wall time: the pool's
+        worker processes are terminated (a runaway task would otherwise hold
+        pool shutdown until it returns), every task that had not finished
+        yet is resubmitted to a fresh pool, and collection goes on there. A
+        thread cannot be stopped, so the ``thread`` backend still waits for
+        a runaway task at shutdown.
         """
-        futures = []
-        for index, task in enumerate(task_list):
-            wrapped = functools.partial(
-                _run_captured, function, index,
-                self._describe(describe, index, task))
-            futures.append(pool.submit(wrapped, task))
-        results: list = []
-        for index, future in enumerate(futures):
+        results: list = [None] * len(task_list)
+        pending = list(range(len(task_list)))
+        while pending:
+            pool = new_pool()
             try:
-                results.append(future.result(timeout=self.task_timeout))
+                futures = {}
+                for index in pending:
+                    wrapped = functools.partial(
+                        _run_captured, function, index,
+                        self._describe(describe, index, task_list[index]))
+                    futures[index] = pool.submit(wrapped, task_list[index])
+                pending, abandoned = self._collect(futures, results, task_list,
+                                                   describe)
+                if abandoned:
+                    _terminate_workers(pool)
+            finally:
+                pool.shutdown(wait=True, cancel_futures=True)
+        return results
+
+    def _collect(self, futures: dict, results: list, task_list: list,
+                 describe: Callable | None) -> tuple[list[int], bool]:
+        """Collect ``futures`` into ``results`` in task order.
+
+        Returns ``(unfinished, abandoned)``: after the first timeout on the
+        ``process`` backend the pool is abandoned, and ``unfinished`` lists
+        the later tasks that had not completed by then (to be rerun);
+        otherwise every slot is filled and the list is empty.
+        """
+        order = list(futures)
+        for position, index in enumerate(order):
+            future = futures[index]
+            timed_out = False
+            try:
+                results[index] = future.result(timeout=self.task_timeout)
+                continue
             except FutureTimeoutError:
                 future.cancel()
-                results.append(_failure_from_exception(
-                    index,
-                    self._describe(describe, index, task_list[index]),
-                    TimeoutError(
-                        f"task exceeded task_timeout={self.task_timeout}s")))
+                timed_out = True
+                error: BaseException = TimeoutError(
+                    f"task exceeded task_timeout={self.task_timeout}s")
             except Exception as exc:  # noqa: BLE001 - pool/pickling errors
-                results.append(_failure_from_exception(
-                    index,
-                    self._describe(describe, index, task_list[index]),
-                    exc))
-        return results
+                error = exc
+            results[index] = _failure_from_exception(
+                index, self._describe(describe, index, task_list[index]), error)
+            if timed_out and self.backend == "process":
+                unfinished = []
+                for later in order[position + 1:]:
+                    done = futures[later]
+                    if done.done() and not done.cancelled() and done.exception() is None:
+                        results[later] = done.result()
+                    else:
+                        unfinished.append(later)
+                return unfinished, True
+        return [], False
+
+
+def _terminate_workers(pool: ProcessPoolExecutor) -> None:
+    """Stop a process pool's workers now, mid-task if need be.
+
+    ``ProcessPoolExecutor`` has no public way to pre-empt a running task, so
+    this reaches for its worker table; the pool then counts as broken and
+    ``shutdown`` returns without waiting for the killed tasks.
+    """
+    processes = list((pool._processes or {}).values())
+    for process in processes:
+        process.terminate()
+    for process in processes:
+        process.join(timeout=5)

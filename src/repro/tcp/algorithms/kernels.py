@@ -21,7 +21,9 @@ Python float arithmetic; transcendentals are **not** (numpy's SIMD ``log`` /
 * HSTCP's per-ACK ``additive_increase`` (two logs and an exp *per ACK*) is
   deduplicated: lock-step cohorts carry heavily duplicated window states, so
   each distinct window value is evaluated once with scalar ``math`` calls and
-  scattered back (``KERNEL_HSTCP``);
+  scattered back (``KERNEL_HSTCP``). Like every other family it only pays
+  off in a group of at least :data:`NARROW_GROUP` sessions: narrower groups
+  share too few window values to save any evaluations;
 * anything else falls back to calling the session's real batch hook in a
   per-session loop (``KERNEL_LOOP``), which costs exactly what the scalar
   engine costs but keeps the cohort semantics.
@@ -187,9 +189,11 @@ COLUMNAR_KERNELS: dict[type[CongestionAvoidance], object] = {
 #: (bit-identical either way -- this is purely a cost model).
 NARROW_GROUP = 24
 
-#: Types whose kernel wins at any width: Vegas's is a no-op, and HSTCP's
-#: dedup replaces per-ACK transcendentals no matter how few sessions share it.
-ALWAYS_KERNEL = frozenset({HighSpeedTcp, Vegas})
+#: Types whose kernel wins at any width: Vegas's is a no-op. HSTCP's dedup
+#: is not among them: a narrow group shares few window values, so it makes
+#: as many ``additive_increase`` calls as the batch hooks, plus the column
+#: overhead.
+ALWAYS_KERNEL = frozenset({Vegas})
 
 #: Static kernel family per exact type, for width counting *before* any
 #: prepare call (prepares may touch per-round algorithm state, so the

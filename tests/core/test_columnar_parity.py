@@ -22,6 +22,7 @@ from repro.core.columnar import (
     columnar_cohort_size,
     sender_admissible,
 )
+from repro.core.environments import ENVIRONMENT_A, ENVIRONMENT_B
 from repro.core.gather import GatherConfig, ProbeJob, SyntheticServer, TraceGatherer
 from repro.envknobs import EnvKnobError
 from repro.net.conditions import NetworkCondition
@@ -29,6 +30,7 @@ from repro.tcp.base import AckContext, CongestionAvoidance, CongestionState
 from repro.tcp.connection import ACK_BATCH_ENV, SenderConfig, TcpSender
 from repro.tcp.algorithms.dctcp import Dctcp
 from repro.tcp.algorithms.reno import Reno
+from repro.tcp.algorithms.kernels import NARROW_GROUP
 from repro.tcp.registry import ALL_ALGORITHM_NAMES
 from repro.web.content import WebPage, WebSite
 from repro.web.population import PopulationConfig, ServerPopulation
@@ -54,6 +56,9 @@ SCENARIOS = [
     ("deadline-lossy", dict(w_timeout=64, deadline=2.0,
                             condition=NetworkCondition(average_rtt=0.2, rtt_std=0.0,
                                                        loss_rate=0.02)), dict()),
+    ("lossy-heavy", dict(w_timeout=64,
+                         condition=NetworkCondition(average_rtt=0.2, rtt_std=0.0,
+                                                    loss_rate=0.05)), dict()),
 ]
 
 
@@ -117,6 +122,154 @@ def test_parity_under_heavy_ack_loss():
                                               condition=condition, seed=3)
         assert_probes_identical(scalar, columnar)
         assert engine.stats.real_rounds > 0
+
+
+def recording_server(algorithm: str, senders: list) -> SyntheticServer:
+    """A synthetic server that appends every sender it opens to ``senders``."""
+    server = make_synthetic_server(algorithm)
+    open_connection = server.open_connection
+
+    def record(*args):
+        sender = open_connection(*args)
+        senders.append(sender)
+        return sender
+
+    server.open_connection = record
+    return server
+
+
+def sender_end_state(sender: TcpSender) -> tuple:
+    return (sender.rto.srtt, sender.rto.rttvar, sender.next_timer_deadline(),
+            sender.state.cwnd, sender.state.ssthresh, sender.snd_una,
+            sender.snd_nxt)
+
+
+def test_wide_lossy_cohort_matches_scalar():
+    """Thinned ladders on the wide vector path: a cohort with at least
+    ``NARROW_GROUP`` lanes of each kernel family under 3 % loss keeps every
+    trace and rng end state of the scalar gatherer."""
+    algorithms = ["reno", "cubic-b", "bic", "hstcp"]
+    condition = NetworkCondition(average_rtt=0.2, rtt_std=0.0, loss_rate=0.03)
+    config = GatherConfig(w_timeout=64, mss=100)
+    lanes = [(algorithm, 1000 * index + lane)
+             for index, algorithm in enumerate(algorithms)
+             for lane in range(NARROW_GROUP + 4)]
+    scalar_senders = [[] for _ in lanes]
+    scalar_rngs = [np.random.default_rng(seed) for _, seed in lanes]
+    gatherer = TraceGatherer(config)
+    scalar = [gatherer.gather_probe(recording_server(algorithm, senders),
+                                    condition, rng)
+              for (algorithm, _), rng, senders
+              in zip(lanes, scalar_rngs, scalar_senders)]
+    columnar_senders = [[] for _ in lanes]
+    columnar_rngs = [np.random.default_rng(seed) for _, seed in lanes]
+    engine = ColumnarProbeEngine()
+    columnar = engine.gather_probes([
+        ProbeJob(recording_server(algorithm, senders), condition, rng, config)
+        for (algorithm, _), rng, senders
+        in zip(lanes, columnar_rngs, columnar_senders)])
+    for expected, probe in zip(scalar, columnar):
+        assert_probes_identical(expected, probe)
+    for expected, rng in zip(scalar_rngs, columnar_rngs):
+        assert expected.bit_generator.state == rng.bit_generator.state
+    # The RTO estimator never shows in a decoupled algorithm's window, so
+    # compare where each trace left it.
+    assert ([[sender_end_state(sender) for sender in lane]
+             for lane in columnar_senders]
+            == [[sender_end_state(sender) for sender in lane]
+                for lane in scalar_senders])
+    assert engine.stats.occupancy >= NARROW_GROUP
+    assert sum(trace.ack_loss_events for probe in columnar
+               for trace in probe.traces()) > 0
+
+
+class ScriptedLossRng:
+    """A loss stream on a script, standing in for ``np.random.Generator``.
+
+    Call ``c`` of :meth:`random` drops the draws at the positions
+    ``drops[c]`` lists (0.1 against a ``loss_rate`` of 0.5) and keeps every
+    other (0.9). A round draws its data packets, then the ACKs of the packets
+    that arrived, so call ``2 r`` is round ``r``'s data and ``2 r + 1`` its
+    ACKs while no earlier round breaks for the timeout. The state is the
+    call count: the columnar rewind and the end-state check work as they do
+    for a real generator.
+    """
+
+    def __init__(self, drops: dict):
+        self.drops = drops
+        self.bit_generator = self
+        self.state = 0
+
+    def random(self, size: int) -> np.ndarray:
+        draws = np.full(size, 0.9)
+        for position in self.drops.get(self.state, ()):
+            draws[position] = 0.1
+        self.state += 1
+        return draws
+
+
+#: Round 7 of the first trace (environment B, where ``srtt`` still moves) is
+#: a 43-packet avoidance round whose round hook below drops the window by 3.
+_ROUND7_DATA, _ROUND7_ACKS = 14, 15
+
+
+@pytest.mark.parametrize("drops,real_by_reason", [
+    ({_ROUND7_DATA: [5]}, {}),
+    ({_ROUND7_ACKS: [5]}, {}),
+    ({_ROUND7_ACKS: [-2]}, {}),
+    ({_ROUND7_DATA: [0, 3, 9], _ROUND7_ACKS: [0, 30, 38]}, {}),
+    ({_ROUND7_DATA: [-1]}, {"data-tail": 1, "rejoin-failed": 1}),
+    ({_ROUND7_ACKS: [-1]}, {"ack-tail": 1, "rejoin-failed": 1}),
+    ({_ROUND7_DATA: [-1], _ROUND7_DATA + 2: [5]},
+     {"data-tail": 1, "rejoin-failed": 1}),
+], ids=["interior-data", "interior-ack", "penultimate-ack", "scattered",
+        "tail-data", "tail-ack", "split-rejoin"])
+def test_thinned_round_stays_vector(monkeypatch, drops, real_by_reason):
+    """A round that loses interior packets or ACKs stays on the vector step
+    with the scalar outcome; a lost last packet or last ACK leaves the round
+    open, and the real engine plays it and the round that closes it. When
+    that closing round is thinned too (``split-rejoin``), the sender answers
+    its holed ladder with one record per ladder stretch, and the lane still
+    rejoins the vector step on them as one burst.
+
+    The round hook logs what it sees (the round's ACK tally, ``srtt``, the
+    window) and, past 44 packets, drops the window by 3, so the round-end cap
+    falls below the next-to-last ACK's cap: when that ACK is lost, the cap
+    must come from the ACK before it.
+    """
+    log: list = []
+
+    def round_hook(self, state, ctx):
+        log.append((state.acked_in_round, state.srtt, state.cwnd))
+        if not state.in_slow_start() and state.cwnd > 44.0:
+            state.cwnd -= 3.0
+
+    monkeypatch.setattr(Reno, "on_round_complete", round_hook)
+    environments = (ENVIRONMENT_B, ENVIRONMENT_A)
+    condition = NetworkCondition(average_rtt=0.2, rtt_std=0.0, loss_rate=0.5)
+    config = GatherConfig(w_timeout=64, mss=100)
+
+    def server():
+        return make_synthetic_server("reno", initial_ssthresh=40.0)
+
+    rng_scalar = ScriptedLossRng(drops)
+    scalar = TraceGatherer(config, environments).gather_probe(
+        server(), condition, rng_scalar)
+    scalar_log, log[:] = list(log), []
+    rng_columnar = ScriptedLossRng(drops)
+    engine = ColumnarProbeEngine(environments)
+    columnar = engine.gather_probes([ProbeJob(server(), condition,
+                                              rng_columnar, config)])[0]
+    assert_probes_identical(scalar, columnar)
+    assert rng_scalar.state == rng_columnar.state
+    assert log == scalar_log
+    assert scalar.trace_a.ack_loss_events == sum(
+        1 for position in drops.get(_ROUND7_ACKS, ()))
+    stats = engine.stats
+    assert stats.real_by_reason == real_by_reason
+    rounds = sum(len(trace.pre_timeout) + len(trace.post_timeout)
+                 for trace in columnar.traces())
+    assert stats.columnar_rounds == rounds - sum(real_by_reason.values())
 
 
 def test_cohort_results_independent_of_cohort_size():
@@ -325,6 +478,35 @@ def test_census_rejects_sum_by_reason(monkeypatch, trained_classifier):
     assert rejects > 0
     assert sum(by_reason.values()) == rejects
     assert {"approach-ceiling", "freeze"} <= set(by_reason)
+
+
+def test_census_real_rounds_sum_by_reason(monkeypatch, trained_classifier):
+    """Every real round of a census is counted under one reason."""
+    import repro.core.census as census_module
+
+    engines = []
+
+    class RecordingEngine(ColumnarProbeEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    monkeypatch.setattr(census_module, "ColumnarProbeEngine", RecordingEngine)
+    population = ServerPopulation(PopulationConfig(size=20, seed=11))
+    population.generate()
+    CensusRunner(trained_classifier,
+                 CensusConfig(seed=3, backend="serial")).run(population)
+    real, by_reason = 0, {}
+    for engine in engines:
+        real += engine.stats.real_rounds
+        for reason, count in engine.stats.real_by_reason.items():
+            by_reason[reason] = by_reason.get(reason, 0) + count
+        assert (engine.stats.as_dict()["real_by_reason"]
+                == dict(sorted(engine.stats.real_by_reason.items())))
+    assert real > 0
+    assert sum(by_reason.values()) == real
+    assert set(by_reason) <= {"data-tail", "ack-tail", "quiet", "timeout",
+                              "rejoin-failed"}
 
 
 def test_training_examples_identical_with_columnar_disabled(monkeypatch):

@@ -38,6 +38,12 @@ def _sleep_forever(value):
     return value
 
 
+def _square_or_hang_on_two(value):
+    if value == 2:
+        _sleep_forever(value)
+    return value * value
+
+
 class TestParallelExecutor:
     def test_backend_validation(self):
         with pytest.raises(ValueError):
@@ -151,12 +157,30 @@ class TestFailureCapture:
             ParallelExecutor(capture_failures=True, task_timeout=0.0)
 
     def test_task_timeout_yields_timeout_failure(self):
+        import time
+
         executor = ParallelExecutor(backend="process", max_workers=2,
                                     capture_failures=True, task_timeout=0.5)
+        began = time.monotonic()
         results = executor.map(_sleep_forever, [1])
+        # The runaway worker is stopped, not waited for (it sleeps 60 s).
+        assert time.monotonic() - began < 10.0
         assert isinstance(results[0], TaskFailure)
         assert results[0].error_type == "TimeoutError"
         assert "task_timeout" in results[0].message
+
+    def test_task_timeout_reruns_unfinished_tasks_on_a_fresh_pool(self):
+        import time
+
+        executor = ParallelExecutor(backend="process", max_workers=2,
+                                    capture_failures=True, task_timeout=0.5)
+        began = time.monotonic()
+        results = executor.map(_square_or_hang_on_two, list(range(8)))
+        assert time.monotonic() - began < 20.0
+        assert isinstance(results[2], TaskFailure)
+        assert results[2].error_type == "TimeoutError"
+        assert [value for index, value in enumerate(results) if index != 2] == [
+            value * value for value in range(8) if value != 2]
 
     def test_capture_keeps_task_order(self):
         executor = ParallelExecutor(backend="process", max_workers=2,

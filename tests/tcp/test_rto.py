@@ -264,6 +264,18 @@ class TestObserveRunColumns:
         # the value the full scalar loop lands on.
         self.assert_matches_scalar([RtoEstimator()], [1.0], [5000])
 
+    def test_settled_srtt_tail_matches_full_loop(self):
+        # Once srtt stops moving, rttvar runs on alone (towards a non-zero
+        # floor when srtt settled an ulp off the sample, else towards 0).
+        estimators = []
+        for start, rttvar in ((0.7, 0.1), (0.9999999999999996, 1e-300),
+                              (1.2, 0.4), (0.8, 0.0), (1.0, 0.25)):
+            estimator = RtoEstimator()
+            estimator.srtt, estimator.rttvar = start, rttvar
+            estimators.append(estimator)
+        self.assert_matches_scalar(estimators, [0.85, 1.0, 1.0, 1.0, 1.0],
+                                   [3000, 200, 2700, 400, 37])
+
     def test_non_positive_sample_on_active_session_rejected(self):
         srtt, rttvar = self.columns([RtoEstimator()])
         with pytest.raises(ValueError):
